@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Train the default run for several seeds and record how each one went.
+
+For every seed: training iterations and seconds, the mean episode reward of
+the first and last convergence windows, and the shielded ``rl`` controller's
+season in the measurement setting (exact forecasts, noise-free plant):
+water savings against the ET baseline, days below v_mad and shield triggers.
+The JSON written to --out (default BENCH_seeds.json) also records the
+Python, numpy and BLAS versions and the BLAS thread count, which this script
+pins to one unless OPENBLAS_NUM_THREADS is already set.
+
+    PYTHONPATH=src python3 scripts/seed_sweep.py --seeds 0 1 2 3 4
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from orchardrl.evalharness import (  # noqa: E402
+    build_controller,
+    qos,
+    run_roster,
+    train_policy_for_run,
+    water_savings,
+)
+from orchardrl.runconfig import build_levels, default_run_config  # noqa: E402
+from run_comparison import measurement_run  # noqa: E402
+
+
+def software_environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+            "machine": platform.machine()}
+
+
+def sweep_seed(seed: int) -> dict:
+    run = default_run_config(seed=seed)
+    t0 = time.monotonic()
+    policy, curve = train_policy_for_run(run)
+    seconds = time.monotonic() - t0
+    totals = [pt.total_reward for pt in curve]
+    window = run.trainer.convergence_window
+
+    season = measurement_run(run)
+    result = run_roster(season, {"et": build_controller(season, "et"),
+                                 "rl": build_controller(season, "rl", policy=policy)})
+    rl = result.entries["rl"]
+    below, _ = qos(rl, build_levels(season))
+    return {"seed": seed, "iterations": len(curve),
+            "max_iterations": run.trainer.max_iterations,
+            "seconds": round(seconds, 1),
+            "reward_early": float(np.mean(totals[:window])),
+            "reward_late": float(np.mean(totals[-window:])),
+            "rl_water_in": rl.total_water,
+            "rl_savings_pct": water_savings(rl, result.entries["et"]),
+            "rl_stress_days": below,
+            "rl_trigger_days": rl.shield_trigger_days}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
+    parser.add_argument("--out", default="BENCH_seeds.json")
+    args = parser.parse_args()
+
+    rows = []
+    for seed in args.seeds:
+        row = sweep_seed(seed)
+        rows.append(row)
+        print(f"seed {seed}: {row['iterations']} iterations, {row['seconds']}s, "
+              f"reward {row['reward_early']:.1f} -> {row['reward_late']:.1f}, "
+              f"rl savings {row['rl_savings_pct']:.1f}%, "
+              f"{row['rl_stress_days']} stress days, "
+              f"{row['rl_trigger_days']} triggers", flush=True)
+    doc = {"run": "default run config; rl evaluated with exact forecasts and "
+                  "a noise-free plant",
+           "environment": software_environment(), "seeds": rows}
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    print(f"-> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -127,19 +127,25 @@ class SquashedGaussianPolicy:
         m, _ = self.forward_mean(obs)
         return self.log_prob_from_mean(np.atleast_2d(u), m)
 
-    def sample(self, obs: np.ndarray,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
-        """Draw one action for a single observation.
+    def sample(self, obs: np.ndarray, rng: np.random.Generator
+               ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+        """Draw actions for one observation or a (B, obs_dim) batch.
 
-        Returns (action, pre_squash_sample, log_prob); the pre-squash sample
-        is what rollout storage keeps, so later ratio computations evaluate
-        the exact same point.
+        Returns (action, pre_squash_sample, log_prob): for a 1-D observation
+        an (n_regions,) action and sample and a float, for a batch (B,
+        n_regions) arrays and (B,) log-probs.  The noise is one
+        standard-normal draw shaped like the means, so a batch of one
+        consumes the same stream as a single observation.  The pre-squash
+        sample is what rollout storage keeps, so later ratio computations
+        evaluate the exact same point.
         """
         m, _ = self.forward_mean(obs)
         sigma = np.exp(self.log_std)
-        u = m[0] + sigma * rng.standard_normal(self.n_regions)
+        u = m + sigma * rng.standard_normal(m.shape)
         a = self.squash(u)
-        logp = float(self.log_prob_from_mean(u, m[0])[0])
+        logp = self.log_prob_from_mean(u, m)
+        if np.ndim(obs) == 1:
+            return a[0], u[0], float(logp[0])
         return a, u, logp
 
     # -- persistence -------------------------------------------------------

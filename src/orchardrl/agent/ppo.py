@@ -1,5 +1,10 @@
 """Clipped-surrogate policy optimization with Monte Carlo returns.
 
+Rollouts run in lockstep: every iteration's episodes advance one day at a
+time through a vectorized environment, so each day costs one batched policy
+forward and one array step of the water balance for all of them (the N
+parallel actors of Schulman et al. 2017).
+
 The objective is the clipped importance-weighted surrogate
 
     loss = -mean_b min(w_b * A_b, clip(w_b, 1-eps, 1+eps) * A_b)
@@ -23,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import NormalizationStats, state_vector
+from ..env import NormalizationStats, VecIrrigationEnv
 from .mlp import AdamOptimizer
 from .policy import SquashedGaussianPolicy
 
 
 def returns_to_go(rewards, gamma: float) -> np.ndarray:
-    """Discounted suffix sums of one episode's rewards (backward recursion)."""
+    """Discounted suffix sums of rewards along axis 0 (backward recursion):
+    one episode, or one episode per column of a (days, episodes) array."""
     r = np.asarray(rewards, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("rewards must be finite")
@@ -64,7 +70,6 @@ class RolloutBatch:
 
     obs: np.ndarray          # (B, obs_dim) normalized observations
     pre_squash: np.ndarray   # (B, n_regions)
-    actions: np.ndarray      # (B, n_regions) squashed actions as executed
     old_log_prob: np.ndarray  # (B,)
     returns: np.ndarray      # (B,)
 
@@ -72,7 +77,7 @@ class RolloutBatch:
         n = len(self.obs)
         if n == 0:
             raise ValueError("batch must be non-empty")
-        for name in ("pre_squash", "actions", "old_log_prob", "returns"):
+        for name in ("pre_squash", "old_log_prob", "returns"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length differs from obs")
         if not np.all(np.isfinite(self.old_log_prob)):
@@ -83,8 +88,7 @@ class RolloutBatch:
 
     def subset(self, idx: np.ndarray) -> "RolloutBatch":
         return RolloutBatch(self.obs[idx], self.pre_squash[idx],
-                            self.actions[idx], self.old_log_prob[idx],
-                            self.returns[idx])
+                            self.old_log_prob[idx], self.returns[idx])
 
 
 def importance_ratio(policy: SquashedGaussianPolicy, old_log_prob: float,
@@ -218,9 +222,10 @@ class TrainerConfig:
     gradient, so with only a per-day return baseline (no learned value) the
     larger rate turns each iteration into a near-random jump and log_std
     grows instead of the reward (checked by sweeping rate x batch on the
-    default environment).  episodes_per_worker keeps the collection batch
-    (workers * episodes_per_worker * episode_length samples) comfortably
-    above minibatch_size.
+    default environment).  episodes_per_iteration is the number of episodes
+    the rollout steps in lockstep; it keeps the collection batch
+    (episodes_per_iteration * episode_length samples) comfortably above
+    minibatch_size.
     """
 
     learning_rate: float = 0.001
@@ -228,8 +233,7 @@ class TrainerConfig:
     clip_epsilon: float = 0.3
     minibatch_size: int = 128
     max_iterations: int = 1000
-    workers: int = 2
-    episodes_per_worker: int = 16
+    episodes_per_iteration: int = 32
     episode_length: int = 30
     convergence_band: float = 0.03
     convergence_window: int = 25
@@ -240,16 +244,18 @@ class TrainerConfig:
     warmup_episodes: int = 16
 
     def __post_init__(self) -> None:
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
         if self.clip_epsilon <= 0:
             raise ValueError("clip_epsilon must be positive")
         if self.minibatch_size < 1:
             raise ValueError("minibatch_size must be >= 1")
-        if self.workers < 1 or self.max_iterations < 1 or self.episode_length < 1:
-            raise ValueError("workers, max_iterations, episode_length must be >= 1")
-        if self.episodes_per_worker < 1:
-            raise ValueError("episodes_per_worker must be >= 1")
+        if (self.episodes_per_iteration < 1 or self.max_iterations < 1
+                or self.episode_length < 1):
+            raise ValueError("episodes_per_iteration, max_iterations, "
+                             "episode_length must be >= 1")
         if self.convergence_window < 1 or not 0 < self.convergence_band < 1:
             raise ValueError("bad convergence settings")
         if self.convergence_patience < 1:
@@ -284,45 +290,81 @@ def _converged(totals: list[float], window: int, band: float) -> bool:
     return abs(cur - prev) <= band * abs(prev)
 
 
-def _collect_normalization_stats(envs, config: TrainerConfig,
+def _collect_normalization_stats(env: VecIrrigationEnv, config: TrainerConfig,
                                  rng: np.random.Generator) -> NormalizationStats:
-    """Freeze observation statistics from random-action warmup episodes."""
-    samples = []
-    n_regions = envs[0].config.n_regions
-    a_max = envs[0].config.a_max
-    for k in range(config.warmup_episodes):
-        env = envs[k % len(envs)]
-        st = env.reset(seed=int(rng.integers(2 ** 32)))
-        samples.append(state_vector(st))
-        for _ in range(config.episode_length):
-            tr = env.step(rng.uniform(0.0, a_max, size=n_regions))
-            samples.append(state_vector(tr.next_state))
-    n_continuous = envs[0].config.obs_dim - 12   # month one-hot stays raw
-    return NormalizationStats.from_samples(np.array(samples), n_continuous)
+    """Freeze observation statistics from random-action warmup episodes.
+
+    Each episode draws its reset seed and then its whole action sequence, and
+    the samples are pooled episode by episode.
+    """
+    n_regions = env.config.n_regions
+    seeds, actions = [], []
+    for _ in range(config.warmup_episodes):
+        seeds.append(int(rng.integers(2 ** 32)))
+        actions.append(rng.uniform(0.0, env.config.a_max,
+                                   size=(config.episode_length, n_regions)))
+    actions = np.stack(actions, axis=1)    # (days, episodes, n_regions)
+    samples = [env.reset(seeds)]
+    for a in actions:
+        samples.append(env.step(a)[0])
+    n_continuous = env.config.obs_dim - 12   # month one-hot stays raw
+    episode_major = np.stack(samples, axis=1).reshape(-1, env.config.obs_dim)
+    return NormalizationStats.from_samples(episode_major, n_continuous)
+
+
+def _rollout(env: VecIrrigationEnv, policy: SquashedGaussianPolicy,
+             config: TrainerConfig, rng: np.random.Generator
+             ) -> tuple[RolloutBatch, np.ndarray, np.ndarray]:
+    """Run episodes_per_iteration episodes in lockstep under the frozen
+    policy.
+
+    Returns the batch (rows grouped by episode, days in order), the raw
+    returns-to-go as an (episodes, days) array, and each episode's total
+    reward.
+    """
+    E, L = config.episodes_per_iteration, config.episode_length
+    raw = env.reset(rng.integers(2 ** 32, size=E))
+    obs = np.empty((L, E, env.config.obs_dim))
+    pre_squash = np.empty((L, E, env.config.n_regions))
+    logp = np.empty((L, E))
+    rewards = np.empty((L, E))
+    for t in range(L):
+        obs[t] = policy.norm_stats.apply(raw)
+        a, pre_squash[t], logp[t] = policy.sample(obs[t], rng)
+        raw, rewards[t] = env.step(a)
+
+    def by_episode(x: np.ndarray) -> np.ndarray:
+        return x.swapaxes(0, 1).reshape(E * L, *x.shape[2:])
+
+    returns = returns_to_go(rewards, config.gamma).T
+    batch = RolloutBatch(obs=by_episode(obs), pre_squash=by_episode(pre_squash),
+                         old_log_prob=by_episode(logp), returns=returns.ravel())
+    return batch, returns, rewards.sum(axis=0)
 
 
 def train(config: TrainerConfig, env_factory, seed: int
           ) -> tuple[SquashedGaussianPolicy, list[CurvePoint]]:
-    """Optimize a policy against environments from env_factory.
+    """Optimize a policy against the environment env_factory builds.
 
-    Each iteration collects episodes_per_worker episodes per worker under the
-    frozen current parameters, computes returns-to-go, subtracts the batch
-    mean return at each day index as a baseline, normalizes the result into
-    advantages, then takes minibatch surrogate steps.  Stops early once the
-    mean episode reward of the last convergence_window iterations sits
-    within convergence_band of the window before it for
-    convergence_patience consecutive iterations (episode totals are noisy,
-    so a single window pass is not trusted).  Fully deterministic
-    for a fixed (seed, config, env_factory).
+    env_factory is called once; its IrrigationEnv's configuration, weather
+    and start rule define a VecIrrigationEnv.  Each iteration steps
+    episodes_per_iteration episodes in lockstep under the frozen current
+    parameters (one batched policy sample and one array env step per day),
+    computes returns-to-go, subtracts the batch mean return at each day
+    index as a baseline, normalizes the result into advantages, then takes
+    minibatch surrogate steps.  Stops early once the mean episode reward of
+    the last convergence_window iterations sits within convergence_band of
+    the window before it for convergence_patience consecutive iterations
+    (episode totals are noisy, so a single window pass is not trusted).
+    Fully deterministic for a fixed (seed, config, env_factory).
     """
     rng = np.random.default_rng(seed)
-    envs = [env_factory() for _ in range(config.workers)]
-    env_cfg = envs[0].config
-    for e in envs[1:]:
-        if e.config.obs_dim != env_cfg.obs_dim or e.config.n_regions != env_cfg.n_regions:
-            raise ValueError("workers must share one environment layout")
+    template = env_factory()
+    env = VecIrrigationEnv(template.config, template.weather,
+                           random_start=template.random_start)
+    env_cfg = env.config
 
-    stats = _collect_normalization_stats(envs, config, rng)
+    stats = _collect_normalization_stats(env, config, rng)
     policy = SquashedGaussianPolicy(
         obs_dim=env_cfg.obs_dim, n_regions=env_cfg.n_regions,
         a_max=env_cfg.a_max, hidden=config.hidden,
@@ -334,29 +376,7 @@ def train(config: TrainerConfig, env_factory, seed: int
     totals: list[float] = []
     steady = 0
     for it in range(config.max_iterations):
-        obs_l, u_l, a_l, logp_l, ret_l = [], [], [], [], []
-        episode_totals = []
-        for env in envs:
-            for _ in range(config.episodes_per_worker):
-                st = env.reset(seed=int(rng.integers(2 ** 32)))
-                rewards = []
-                for _ in range(config.episode_length):
-                    obs = stats.apply(state_vector(st))
-                    a, u, logp = policy.sample(obs, rng)
-                    tr = env.step(a)
-                    obs_l.append(obs)
-                    u_l.append(u)
-                    a_l.append(a)
-                    logp_l.append(logp)
-                    rewards.append(tr.reward)
-                    st = tr.next_state
-                ret_l.append(returns_to_go(rewards, config.gamma))
-                episode_totals.append(float(np.sum(rewards)))
-
-        returns = np.array(ret_l)   # (episodes, episode_length)
-        batch = RolloutBatch(
-            obs=np.array(obs_l), pre_squash=np.array(u_l), actions=np.array(a_l),
-            old_log_prob=np.array(logp_l), returns=returns.ravel())
+        batch, returns, episode_totals = _rollout(env, policy, config, rng)
         advantages = normalized_advantages(
             (returns - returns.mean(axis=0)).ravel())
         total_reward = float(np.mean(episode_totals))

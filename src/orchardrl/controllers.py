@@ -77,6 +77,15 @@ class SensorController:
     receives the dose that fills it to the upper threshold under the assumed
     application gain (the shield predictor's irrigation coefficient), capped
     at a_max; otherwise nothing.
+
+    The lower threshold does not guarantee a stress-free season.  Its margin
+    over v_mad is 4.96 - 4.726 = 0.234 in with the default profile, while
+    the calibrated dynamics lose 0.70-0.75 x ET per day plus storage decay.
+    A dry day therefore takes a region that sits just above 4.96 in below
+    v_mad once ET exceeds about 0.323 in (region 0) or 0.296 in (region 1),
+    which 0.06% and 0.59% of synthetic days (seeds 0-19) do.  The baseline
+    then logs a rare stress day, as specified; that is its behaviour, not a
+    defect.
     """
 
     name = "sensor"

@@ -21,7 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .hydrology import SoilLevels, SoilProfile, derive_levels, testbed_profile
-from .predictor import PredictorModel, predict_next
+from .predictor import (
+    PredictorModel,
+    coefficient_table,
+    predict_next,
+    predict_next_array,
+)
 from .weather import WeatherDay
 
 N_WEATHER_CHANNELS = 10   # observed channels in the state vector
@@ -83,6 +88,21 @@ def reward_mad_only(v_next: np.ndarray, a: np.ndarray, params: RewardParams) -> 
 
 
 REWARD_KINDS = ("full", "mad-only")
+
+
+def _batch_reward(v_next: np.ndarray, a: np.ndarray, params: RewardParams,
+                  kind: str) -> np.ndarray:
+    """reward (or reward_mad_only) of each row of (E, n) arrays, as (E,)."""
+    lv = params.levels
+    stress = params.lambda3 * (lv.v_mad - v_next) + params.mu3 * a
+    if kind == "mad-only":
+        penalty = np.where(v_next < lv.v_mad, stress, 0.0)
+    else:
+        penalty = np.where(
+            v_next > lv.v_fc,
+            params.lambda1 * (v_next - lv.v_fc) + params.mu1 * a,
+            np.where(v_next >= lv.v_mad, params.mu2 * a, stress))
+    return -penalty.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -344,3 +364,89 @@ class IrrigationEnv:
         self._state = next_state
         return Transition(state=state, action=a.copy(), reward=r,
                           next_state=next_state)
+
+
+class VecIrrigationEnv:
+    """E episodes of IrrigationEnv stepped in lockstep as (E, n_regions)
+    arrays, for training rollouts.
+
+    Episode e of reset(seeds) is IrrigationEnv's episode for
+    reset(seed=seeds[e]) under the same actions: the same start day, initial
+    soil water and process noise (its whole noise block is drawn at reset,
+    which equals the scalar environment's per-step draws), and bit for bit
+    the same soil water.  Observations are the rows of state_vector.
+    """
+
+    def __init__(self, config: EnvConfig, weather: Sequence[WeatherDay],
+                 random_start: bool = True):
+        if len(weather) < config.episode_length + 1:
+            raise ValueError(
+                f"need at least episode_length + 1 = {config.episode_length + 1} "
+                f"weather records, got {len(weather)}")
+        self.config = config
+        self.random_start = random_start
+        self._coef = coefficient_table(config.dynamics)
+        months = np.array([w.date.month for w in weather])
+        # state_vector's weather and calendar block for every record
+        self._weather_obs = np.hstack([
+            np.array([w.numeric_channels for w in weather], dtype=float),
+            np.array([(w.predicted_et_next, w.forecast_precip_next)
+                      for w in weather], dtype=float),
+            np.eye(N_MONTHS)[months - 1],
+        ])
+        self._et = self._weather_obs[:, 0]
+        self._precip = self._weather_obs[:, 1]
+        self._starts = self._noise = None
+        self.v: np.ndarray | None = None    # (E, n_regions) soil water
+        self._day = 0
+
+    def reset(self, seeds) -> np.ndarray:
+        """Start one episode per seed; returns the (E, obs_dim) raw
+        observations of the first day."""
+        cfg = self.config
+        n, L = cfg.n_regions, cfg.episode_length
+        max_start = len(self._weather_obs) - L - 1
+        lv = cfg.levels
+        E = len(seeds)
+        self._starts = np.zeros(E, dtype=int)
+        self.v = np.empty((E, n))
+        self._noise = np.zeros((L, E, n))
+        for e, seed in enumerate(seeds):
+            rng = np.random.default_rng(int(seed))
+            if self.random_start:
+                self._starts[e] = rng.integers(0, max_start + 1)
+            self.v[e] = rng.uniform(lv.v_mad, lv.v_fc, size=n)
+            if cfg.process_noise_std > 0:
+                self._noise[:, e] = rng.normal(0.0, cfg.process_noise_std,
+                                               size=(L, n))
+        self._day = 0
+        return self._observations()
+
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every episode one day; returns the next (E, obs_dim) raw
+        observations and the (E,) rewards."""
+        cfg = self.config
+        if self.v is None:
+            raise RuntimeError("reset() must be called before step()")
+        if self._day >= cfg.episode_length:
+            raise RuntimeError("episodes exhausted; call reset()")
+        a = np.asarray(actions, dtype=float)
+        if a.shape != self.v.shape:
+            raise ValueError(f"actions must have shape {self.v.shape}")
+        if np.any(a < -1e-9) or np.any(a > cfg.a_max + 1e-9):
+            raise ValueError(f"action outside [0, {cfg.a_max}]")
+        a = np.clip(a, 0.0, cfg.a_max)
+
+        nxt = self._starts + self._day + 1
+        cap = cfg.saturation_cap
+        v_next = predict_next_array(self._coef, self.v, a, self._precip[nxt, None],
+                                    self._et[nxt, None], cap=cap)
+        if cfg.process_noise_std > 0:
+            v_next = np.clip(v_next + self._noise[self._day], 0.0, cap)
+        self.v = v_next
+        self._day += 1
+        return self._observations(), _batch_reward(v_next, a, cfg.reward_params,
+                                                   cfg.reward_kind)
+
+    def _observations(self) -> np.ndarray:
+        return np.hstack([self.v, self._weather_obs[self._starts + self._day]])

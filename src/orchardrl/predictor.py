@@ -89,6 +89,27 @@ def predict_next(model: PredictorModel, v: float, irrigation: float,
     return v
 
 
+def coefficient_table(models) -> np.ndarray:
+    """Rows c1, c2, c3, b of a sequence of models, one column per model."""
+    return np.array([(m.c1, m.c2, m.c3, m.b) for m in models]).T
+
+
+def predict_next_array(coef: np.ndarray, v, irrigation, precip, et,
+                       cap: float | None = None) -> np.ndarray:
+    """predict_next over arrays: coef is a coefficient_table, whose columns
+    line up with the last axis of v and irrigation, and every argument
+    broadcasts over leading axes.
+
+    The arithmetic is predict_next's, term for term, so each element agrees
+    with it bit for bit.
+    """
+    c1, c2, c3, b = coef
+    out = np.maximum(c1 * v + c2 * (irrigation + precip) + c3 * et + b, 0.0)
+    if cap is not None:
+        out = np.minimum(out, cap)
+    return out
+
+
 def rollout(model: PredictorModel, v_0: float,
             plan: list[tuple[float, float, float]],
             cap: float | None = None) -> list[float]:

@@ -19,7 +19,7 @@ Schema (all keys optional; omitted keys take the defaults shown by
     env             {irrigation_rate, a_max, episode_length,
                     process_noise_std, surplus_headroom}
     trainer         {learning_rate, gamma, clip_epsilon, minibatch_size,
-                    max_iterations, workers, episodes_per_worker,
+                    max_iterations, episodes_per_iteration,
                     episode_length, convergence_band, convergence_window,
                     convergence_patience, epochs, hidden, init_log_std,
                     warmup_episodes}
@@ -375,6 +375,7 @@ def from_json_dict(doc: dict) -> RunConfig:
     trainer = base.trainer
     if "trainer" in doc:
         tdict = dict(doc["trainer"])
+        _take(tdict, {f.name for f in dataclasses.fields(TrainerConfig)}, "trainer")
         if "hidden" in tdict:
             tdict["hidden"] = tuple(tdict["hidden"])
         trainer = replace(trainer, **tdict)

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .env import EnvState
-from .predictor import PredictorModel
+from .predictor import PredictorModel, coefficient_table, predict_next_array
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class ShieldConfig:
     def _coefficient_table(self) -> np.ndarray:
         models = ((self.model,) if isinstance(self.model, PredictorModel)
                   else tuple(self.model))
-        table = np.array([(m.c1, m.c2, m.c3, m.b) for m in models]).T
+        table = coefficient_table(models)
         table.flags.writeable = False
         return table
 
@@ -102,20 +102,10 @@ _MAX_ULP_STEPS = 8
 
 def _predict(config: ShieldConfig, state: EnvState, coef: np.ndarray,
              action: np.ndarray) -> np.ndarray:
-    """predict_next for every region at once; coef rows are c1, c2, c3, b.
-
-    The arithmetic is predict_next's, term for term, so the results agree
-    with it bit for bit.
-    """
-    c1, c2, c3, b = coef
-    v = c1 * state.v
-    v += c2 * (action + state.forecast_precip_next)
-    v += c3 * state.predicted_et_next
-    v += b
-    np.maximum(v, 0.0, out=v)
-    if config.cap is not None:
-        np.minimum(v, config.cap, out=v)
-    return v
+    """The shield's next-day prediction for every region, from the forecast
+    channels; bit for bit predict_next's."""
+    return predict_next_array(coef, state.v, action, state.forecast_precip_next,
+                              state.predicted_et_next, cap=config.cap)
 
 
 def predicted_deficit(config: ShieldConfig, state: EnvState,

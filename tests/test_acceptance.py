@@ -119,7 +119,7 @@ def test_gradient_check():
         pre.append(u)
         logp.append(lp)
     batch = RolloutBatch(obs=obs, pre_squash=np.array(pre),
-                         actions=np.array(pre), old_log_prob=np.array(logp),
+                         old_log_prob=np.array(logp),
                          returns=rng.normal(size=8))
     err = gradient_check(policy, batch)
     assert verdict(3, "analytic policy gradient matches finite differences",

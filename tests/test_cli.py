@@ -21,8 +21,8 @@ TINY_CONFIG = {
     "seed": 0,
     "days": 8,
     "env": {"process_noise_std": 0.0},
-    "trainer": {"hidden": [4], "max_iterations": 2, "workers": 1,
-                "episodes_per_worker": 2, "episode_length": 4,
+    "trainer": {"hidden": [4], "max_iterations": 2,
+                "episodes_per_iteration": 2, "episode_length": 4,
                 "minibatch_size": 16, "convergence_window": 2,
                 "warmup_episodes": 2},
 }

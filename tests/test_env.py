@@ -14,6 +14,7 @@ from orchardrl.env import (
     IrrigationEnv,
     NormalizationStats,
     RewardParams,
+    VecIrrigationEnv,
     action_to_duration,
     default_env_config,
     denormalize,
@@ -25,7 +26,7 @@ from orchardrl.env import (
 from orchardrl.hydrology import SoilLevels, derive_levels
 from orchardrl.hydrology import testbed_profile as orchard_profile
 from orchardrl.predictor import TREE1_MODEL, predict_next
-from orchardrl.weather import WeatherDay
+from orchardrl.weather import WeatherDay, synthesize_season
 
 LEVELS = SoilLevels(v_pwp=2.362, v_awc=4.728, v_mad=4.726, v_fc=7.09)
 PARAMS = RewardParams(levels=LEVELS)
@@ -407,3 +408,77 @@ class TestNormalization:
         stats = NormalizationStats.identity(cfg.obs_dim - 12)
         vec = normalize(state, stats)
         assert np.allclose(denormalize(vec, stats), state_vector(state))
+
+
+class TestVecIrrigationEnv:
+    SEEDS = (3, 17, 29, 101, 2024)
+
+    def scalar_and_vec(self, reward_kind, n_regions=3):
+        cfg = default_env_config(n_regions=n_regions, process_noise_std=0.05,
+                                 reward_kind=reward_kind)
+        weather = synthesize_season(4, 120)
+        return (IrrigationEnv(cfg, weather, random_start=True),
+                VecIrrigationEnv(cfg, weather, random_start=True))
+
+    def fixed_actions(self, cfg, n_episodes):
+        """Random doses, plus one episode flooded and one left dry so every
+        reward branch is exercised."""
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0.0, cfg.a_max,
+                        size=(cfg.episode_length, n_episodes, cfg.n_regions))
+        a[:, 0] = cfg.a_max
+        a[:, 1] = 0.0
+        return a
+
+    @pytest.mark.parametrize("reward_kind", ["full", "mad-only"])
+    def test_matches_scalar_episodes(self, reward_kind):
+        env, vec = self.scalar_and_vec(reward_kind)
+        cfg = env.config
+        actions = self.fixed_actions(cfg, len(self.SEEDS))
+        obs = [vec.reset(self.SEEDS)]
+        soil, rewards = [vec.v], []
+        for a in actions:
+            o, r = vec.step(a)
+            obs.append(o)
+            soil.append(vec.v)
+            rewards.append(r)
+        for e, seed in enumerate(self.SEEDS):
+            state = env.reset(seed=seed)
+            assert np.array_equal(obs[0][e], state_vector(state))
+            assert np.array_equal(soil[0][e], state.v)
+            for t, a in enumerate(actions):
+                tr = env.step(a[e])
+                assert np.array_equal(soil[t + 1][e], tr.next_state.v)
+                assert np.array_equal(obs[t + 1][e], state_vector(tr.next_state))
+                assert rewards[t][e] == pytest.approx(tr.reward, rel=0, abs=1e-12)
+        soil = np.array(soil)
+        assert np.any(soil > cfg.levels.v_fc) and np.any(soil < cfg.levels.v_mad)
+
+    def test_fixed_start_episodes(self):
+        cfg = default_env_config(process_noise_std=0.0)
+        weather = flat_season(cfg.episode_length + 5)
+        vec = VecIrrigationEnv(cfg, weather, random_start=False)
+        obs = vec.reset([1, 2])
+        env = IrrigationEnv(cfg, weather, random_start=False)
+        assert np.array_equal(obs[1], state_vector(env.reset(seed=2)))
+
+    def test_action_checks(self):
+        env, vec = self.scalar_and_vec("full", n_regions=2)
+        with pytest.raises(RuntimeError, match="reset"):
+            vec.step(np.zeros((2, 2)))
+        vec.reset([1, 2])
+        with pytest.raises(ValueError, match="shape"):
+            vec.step(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="outside"):
+            vec.step(np.full((2, 2), env.config.a_max + 0.01))
+        with pytest.raises(ValueError, match="outside"):
+            vec.step(np.full((2, 2), -0.1))
+        for _ in range(env.config.episode_length):
+            vec.step(np.zeros((2, 2)))
+        with pytest.raises(RuntimeError, match="exhausted"):
+            vec.step(np.zeros((2, 2)))
+
+    def test_weather_too_short(self):
+        cfg = default_env_config()
+        with pytest.raises(ValueError, match="episode_length"):
+            VecIrrigationEnv(cfg, flat_season(cfg.episode_length))

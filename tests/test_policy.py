@@ -100,6 +100,30 @@ class TestSampling:
         assert np.allclose(a, policy.squash(u))
         assert logp == pytest.approx(float(policy.log_prob(obs, u)[0]), abs=1e-12)
 
+    def test_batch_sample_matches_row_by_row(self):
+        policy = small_policy(n_regions=2, seed=5)
+        obs = np.random.default_rng(2).normal(size=(7, OBS_DIM))
+        a, u, logp = policy.sample(obs, np.random.default_rng(11))
+        assert a.shape == u.shape == (7, 2) and logp.shape == (7,)
+        assert np.array_equal(a, policy.squash(u))
+        assert np.allclose(logp, policy.log_prob(obs, u), rtol=0, atol=1e-12)
+        # u is the batched mean plus sigma times one (7, 2) normal draw
+        noise = np.random.default_rng(11).standard_normal((7, 2))
+        means = u - np.exp(policy.log_std) * noise
+        for row, m in zip(obs, means):
+            assert np.allclose(policy.forward_mean(row)[0][0], m, rtol=0, atol=1e-12)
+
+    def test_batch_of_one_consumes_the_single_stream(self):
+        policy = small_policy(n_regions=2, seed=5)
+        obs = np.random.default_rng(2).normal(size=OBS_DIM)
+        rng_1d, rng_2d = np.random.default_rng(11), np.random.default_rng(11)
+        a, u, logp = policy.sample(obs, rng_1d)
+        a2, u2, logp2 = policy.sample(obs[None, :], rng_2d)
+        assert isinstance(logp, float)
+        assert np.array_equal(a, a2[0]) and np.array_equal(u, u2[0])
+        assert logp == logp2[0]
+        assert rng_1d.random() == rng_2d.random()
+
     def test_samples_stay_in_bounds(self):
         policy = small_policy(n_regions=2, seed=6)
         rng = np.random.default_rng(3)

@@ -18,6 +18,7 @@ from orchardrl.agent.ppo import (
     TrainingDiverged,
     _collect_normalization_stats,
     _converged,
+    _rollout,
     finite_difference_gradient,
     gradient_check,
     importance_ratio,
@@ -28,7 +29,12 @@ from orchardrl.agent.ppo import (
     train,
     write_training_curve,
 )
-from orchardrl.env import IrrigationEnv, default_env_config, state_vector
+from orchardrl.env import (
+    IrrigationEnv,
+    VecIrrigationEnv,
+    default_env_config,
+    state_vector,
+)
 from orchardrl.predictor import PredictorModel
 from orchardrl.weather import WeatherDay
 
@@ -60,10 +66,9 @@ def sampled_batch(policy, n=8, seed=1, returns=None, logp_shift=None):
     old log-probabilities pretend the data came from a different policy."""
     rng = np.random.default_rng(seed)
     obs = rng.normal(size=(n, policy.obs_dim))
-    actions, pre, logps = [], [], []
+    pre, logps = [], []
     for row in obs:
-        a, u, lp = policy.sample(row, rng)
-        actions.append(a)
+        _, u, lp = policy.sample(row, rng)
         pre.append(u)
         logps.append(lp)
     old = np.array(logps)
@@ -71,8 +76,7 @@ def sampled_batch(policy, n=8, seed=1, returns=None, logp_shift=None):
         old = old - np.asarray(logp_shift, dtype=float)
     if returns is None:
         returns = rng.normal(size=n)
-    return RolloutBatch(obs=obs, pre_squash=np.array(pre),
-                        actions=np.array(actions), old_log_prob=old,
+    return RolloutBatch(obs=obs, pre_squash=np.array(pre), old_log_prob=old,
                         returns=np.asarray(returns, dtype=float))
 
 
@@ -105,6 +109,12 @@ class TestReturnsToGo:
         with pytest.raises(ValueError, match="finite"):
             returns_to_go([1.0, math.inf], 0.99)
 
+    def test_columns_are_episodes(self):
+        r = np.random.default_rng(4).normal(size=(6, 3))
+        out = returns_to_go(r, 0.9)
+        for e in range(3):
+            assert np.array_equal(out[:, e], returns_to_go(r[:, e], 0.9))
+
 
 class TestNormalizedAdvantages:
     def test_constant_batch_goes_to_zero(self):
@@ -132,14 +142,12 @@ class TestRolloutBatch:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             RolloutBatch(obs=np.empty((0, 3)), pre_squash=np.empty((0, 1)),
-                         actions=np.empty((0, 1)), old_log_prob=np.empty(0),
-                         returns=np.empty(0))
+                         old_log_prob=np.empty(0), returns=np.empty(0))
 
     def test_length_mismatch_rejected(self):
         batch = sampled_batch(small_policy(), n=4)
         with pytest.raises(ValueError, match="length"):
             RolloutBatch(obs=batch.obs, pre_squash=batch.pre_squash,
-                         actions=batch.actions,
                          old_log_prob=batch.old_log_prob[:3],
                          returns=batch.returns)
 
@@ -149,8 +157,7 @@ class TestRolloutBatch:
         bad[1] = math.nan
         with pytest.raises(ValueError, match="finite"):
             RolloutBatch(obs=batch.obs, pre_squash=batch.pre_squash,
-                         actions=batch.actions, old_log_prob=bad,
-                         returns=batch.returns)
+                         old_log_prob=bad, returns=batch.returns)
 
 
 class TestImportanceRatio:
@@ -307,14 +314,14 @@ class TestTrainerConfig:
         assert cfg.learning_rate == 0.001
         assert cfg.gamma == 0.99
         assert cfg.clip_epsilon == 0.3
-        assert cfg.workers == 2
+        assert cfg.episodes_per_iteration == 32
         assert cfg.hidden == (256, 256)
         assert cfg.convergence_window == 25
 
     @pytest.mark.parametrize("bad", [
         {"gamma": 0.0}, {"gamma": 1.5}, {"clip_epsilon": 0.0},
-        {"minibatch_size": 0}, {"workers": 0}, {"max_iterations": 0},
-        {"episode_length": 0}, {"episodes_per_worker": 0},
+        {"minibatch_size": 0}, {"episodes_per_iteration": 0},
+        {"max_iterations": 0}, {"episode_length": 0}, {"learning_rate": 0.0},
         {"convergence_window": 0}, {"convergence_band": 0.0},
         {"convergence_band": 1.0}, {"convergence_patience": 0},
         {"epochs": 0}, {"warmup_episodes": 0},
@@ -344,7 +351,7 @@ def conserving_env_factory(et=0.0, episode_length=6):
 
 class TestTrain:
     def test_learns_to_withhold_water(self):
-        cfg = TrainerConfig(hidden=(8,), workers=1, episodes_per_worker=8,
+        cfg = TrainerConfig(hidden=(8,), episodes_per_iteration=8,
                             episode_length=6, minibatch_size=48,
                             max_iterations=150, convergence_window=10,
                             convergence_patience=3, warmup_episodes=4,
@@ -359,7 +366,7 @@ class TestTrain:
             assert policy.mean_action(obs)[0] < 0.01
 
     def test_deterministic_for_fixed_seed(self):
-        cfg = TrainerConfig(hidden=(4,), workers=1, episodes_per_worker=2,
+        cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=2,
                             episode_length=4, minibatch_size=16,
                             max_iterations=3, convergence_window=2,
                             warmup_episodes=2)
@@ -370,7 +377,7 @@ class TestTrain:
         assert curve_a == curve_b
 
     def test_seed_changes_outcome(self):
-        cfg = TrainerConfig(hidden=(4,), workers=1, episodes_per_worker=2,
+        cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=2,
                             episode_length=4, minibatch_size=16,
                             max_iterations=2, convergence_window=2,
                             warmup_episodes=2)
@@ -380,32 +387,38 @@ class TestTrain:
         assert not np.array_equal(pol_a.get_flat_params(),
                                   pol_b.get_flat_params())
 
-    def test_workers_must_share_layout(self):
-        layouts = iter((1, 2, 1, 2))
-        model1 = PredictorModel(c1=1.0, c2=1.0, c3=0.0, b=0.0)
-
-        def factory():
-            n = next(layouts)
-            cfg = default_env_config(
-                n_regions=n, dynamics=(model1,) * n,
-                process_noise_std=0.0, episode_length=4)
-            return IrrigationEnv(cfg, flat_season(5), random_start=False)
-
-        cfg = TrainerConfig(hidden=(4,), workers=2, episodes_per_worker=1,
-                            episode_length=4, max_iterations=1,
-                            warmup_episodes=1)
-        with pytest.raises(ValueError, match="layout"):
-            train(cfg, factory, seed=0)
-
     def test_normalization_stats_leave_month_one_hot_raw(self):
-        factory = conserving_env_factory(et=0.1, episode_length=4)
-        envs = [factory()]
-        cfg = TrainerConfig(hidden=(4,), workers=1, episodes_per_worker=1,
+        env = conserving_env_factory(et=0.1, episode_length=4)()
+        vec = VecIrrigationEnv(env.config, env.weather, random_start=False)
+        cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=1,
                             episode_length=4, warmup_episodes=3)
-        stats = _collect_normalization_stats(envs, cfg,
+        stats = _collect_normalization_stats(vec, cfg,
                                              np.random.default_rng(0))
-        assert len(stats.mean) == envs[0].config.obs_dim - 12
+        assert len(stats.mean) == env.config.obs_dim - 12
         assert np.all(stats.std > 0.0)
+
+    def test_rollout_rows_are_grouped_by_episode(self):
+        # conserving dynamics and no noise: v_next = v + a exactly, well
+        # below the saturation cap
+        model = PredictorModel(c1=1.0, c2=1.0, c3=0.0, b=0.0)
+        env_cfg = default_env_config(n_regions=1, dynamics=(model,),
+                                     process_noise_std=0.0, episode_length=4,
+                                     surplus_headroom=5.0)
+        vec = VecIrrigationEnv(env_cfg, flat_season(5), random_start=False)
+        cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=3,
+                            episode_length=4, warmup_episodes=2, gamma=1.0)
+        rng = np.random.default_rng(0)
+        policy = small_policy(obs_dim=env_cfg.obs_dim)
+        policy.norm_stats = _collect_normalization_stats(vec, cfg, rng)
+        batch, returns, totals = _rollout(vec, policy, cfg, rng)
+        assert len(batch) == 12 and returns.shape == (3, 4)
+        assert np.allclose(batch.old_log_prob,
+                           policy.log_prob(batch.obs, batch.pre_squash),
+                           rtol=0, atol=1e-12)
+        v = policy.norm_stats.invert(batch.obs)[:, 0].reshape(3, 4)
+        a = policy.squash(batch.pre_squash)[:, 0].reshape(3, 4)
+        assert np.allclose(v[:, 1:], v[:, :-1] + a[:, :-1], rtol=0, atol=1e-12)
+        assert np.allclose(returns[:, 0], totals, rtol=0, atol=1e-12)
 
     def test_diverged_error_carries_curve(self):
         pts = [CurvePoint(iteration=0, total_reward=-5.0, loss=0.2)]

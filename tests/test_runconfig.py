@@ -94,6 +94,12 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="unknown config keys"):
             from_json_dict({"sprinklers": 3})
 
+    def test_retired_trainer_keys_named(self):
+        # the worker-based rollout's keys, replaced by episodes_per_iteration
+        with pytest.raises(ValueError, match=r"unknown trainer keys: "
+                           r"\['episodes_per_worker', 'workers'\]"):
+            from_json_dict({"trainer": {"workers": 2, "episodes_per_worker": 16}})
+
 
 class TestConfigHash:
     def test_stable(self):
