@@ -21,7 +21,7 @@ from orchardrl.evalharness import (
     write_results,
 )
 from orchardrl.agent.policy import load_policy
-from orchardrl.runconfig import build_levels, default_run_config, load_config
+from orchardrl.runconfig import build_levels, default_run_config, load_config, measurement_run
 
 
 def build_run(args):
@@ -31,14 +31,6 @@ def build_run(args):
     if args.days is not None:
         run = dataclasses.replace(run, days=args.days)
     return run
-
-
-def measurement_run(run):
-    # exact forecasts and a noise-free plant, for paired measurement only;
-    # training always sees the noisy configuration
-    return dataclasses.replace(
-        run, forecast_noise="exact",
-        env=dataclasses.replace(run.env, process_noise_std=0.0))
 
 
 def obtain(run, path, reward_kind, label):

@@ -17,7 +17,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
-import dataclasses  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import time  # noqa: E402
@@ -31,8 +30,7 @@ from orchardrl.evalharness import (  # noqa: E402
     train_policy_for_run,
     water_savings,
 )
-from orchardrl.runconfig import build_levels, default_run_config  # noqa: E402
-from run_comparison import measurement_run  # noqa: E402
+from orchardrl.runconfig import build_levels, default_run_config, measurement_run  # noqa: E402
 
 
 def software_environment() -> dict:

@@ -20,7 +20,7 @@ from orchardrl.evalharness import (
     run_season,
     train_policy_for_run,
 )
-from orchardrl.runconfig import build_levels, default_run_config, load_config
+from orchardrl.runconfig import build_levels, default_run_config, load_config, measurement_run
 
 
 def build_run(args):
@@ -30,14 +30,6 @@ def build_run(args):
     if args.days is not None:
         run = dataclasses.replace(run, days=args.days)
     return run
-
-
-def measurement_run(run):
-    # the grid below argues about what the shield certifies, so the season
-    # uses exact forecasts and a noise-free plant; training stays noisy
-    return dataclasses.replace(
-        run, forecast_noise="exact",
-        env=dataclasses.replace(run.env, process_noise_std=0.0))
 
 
 def rewire_to_zero(policy):

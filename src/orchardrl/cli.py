@@ -25,6 +25,7 @@ from .runconfig import (
     default_run_config,
     load_config,
     save_config,
+    to_json_dict,
 )
 from .weather import synthesize_season, write_weather_csv
 
@@ -85,9 +86,7 @@ def cmd_identify(args) -> int:
     print(f"nrmse     = {model.nrmse:.6f}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"c1": model.c1, "c2": model.c2, "c3": model.c3,
-                       "b": model.b, "r_squared": model.r_squared,
-                       "nrmse": model.nrmse}, fh, indent=2)
+            json.dump(to_json_dict(model), fh, indent=2)
             fh.write("\n")
         print(f"model written to {args.out}")
     return 0

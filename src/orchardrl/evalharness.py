@@ -24,7 +24,6 @@ from .controllers import (
     EtController,
     RlController,
     SensorController,
-    SensorControllerConfig,
     ShieldedController,
 )
 from .env import IrrigationEnv
@@ -171,7 +170,6 @@ def build_shield_config(run: RunConfig, enabled: bool | None = None) -> ShieldCo
         v_mad=levels.v_mad,
         detector_threshold=run.shield.detector_threshold,
         enabled=run.shield.enabled if enabled is None else enabled,
-        signed_detector=run.shield.signed_detector,
         cap=levels.v_fc + run.env.surplus_headroom,
         a_max=run.env.a_max,
     )
@@ -186,16 +184,14 @@ def build_controller(run: RunConfig, name: str,
     deficits still log.  rl-mad expects a policy trained under the ablated
     reward; the caller supplies the right snapshot.
     """
-    levels = build_levels(run)
     et = EtController(run.n_regions, run.env.a_max)
     if name == "et":
         return et
     if name == "sensor":
-        cfg = SensorControllerConfig(lower_threshold=run.sensor.lower_threshold,
-                                     upper_threshold=run.sensor.upper_threshold)
-        cfg.validate_against(levels)
+        run.sensor.validate_against(build_levels(run))
         fill_gain = build_shield_models(run)[0].c2
-        return SensorController(cfg, fill_gain=fill_gain, a_max=run.env.a_max)
+        return SensorController(run.sensor, fill_gain=fill_gain,
+                                a_max=run.env.a_max)
     if name in ("rl", "rl-mad"):
         if policy is None:
             raise ValueError(f"controller '{name}' needs a trained policy")

@@ -1,7 +1,8 @@
 """Run configuration: one JSON document drives every experiment.
 
-Schema (all keys optional; omitted keys take the defaults shown by
-``save_config(default_run_config(), path)``):
+Schema (all keys optional; omitted keys, including those of a partial
+section, take the defaults shown by ``save_config(default_run_config(),
+path)``; an unknown key raises ValueError naming its section):
 
     seed            int     master seed; all randomness derives from it
     days            int     season length in control days
@@ -10,8 +11,12 @@ Schema (all keys optional; omitted keys take the defaults shown by
     weather_csv     str?    daily weather log; null means synthetic weather
     forecast_noise  "default" | "exact" | {et_std, miss_rate,
                     false_alarm_rate, false_alarm_mean, precip_rel_std}
+                    forecast error of synthetic and CSV weather alike;
+                    "default" scales with the season's mean ET
     climate         {start, t_base_f, t_amp_f, t_jitter_f, t_spread_f,
-                    et_rel_noise, ...} scalar overrides of the synthetic climate
+                    et_rel_noise, ..., precip_event_prob: [12 monthly
+                    probabilities], et_params: {gamma_c, ra, td}}
+                    overrides of the synthetic climate
     profile         {awc_per_foot, pwp_fraction, root_depth_feet,
                     root_depth_inches, sensor_depth_spans, mad_fraction}
     dynamics        [{c1, c2, c3, b}, ...] per-region ground-truth models
@@ -23,9 +28,9 @@ Schema (all keys optional; omitted keys take the defaults shown by
                     episode_length, convergence_band, convergence_window,
                     convergence_patience, epochs, hidden, init_log_std,
                     warmup_episodes}
-    shield          {enabled, detector_threshold, signed_detector,
+    shield          {enabled, detector_threshold,
                     model: "env" | [{c1, c2, c3, b}, ...]}
-    sensor          {lower_threshold, upper_threshold}
+    sensor          {lower_threshold, upper_threshold} of the sensor baseline
     policy_path     str?    trained policy snapshot to evaluate
 
 The normalized observation layout (see the environment module) is
@@ -38,13 +43,17 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import functools
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .agent.ppo import TrainerConfig
+from .controllers import SensorControllerConfig
 from .env import (
     DEFAULT_REGION_DYNAMICS,
     EnvConfig,
@@ -56,6 +65,7 @@ from .predictor import PredictorModel
 from .weather import (
     ClimateParams,
     ForecastNoise,
+    NoiseModel,
     WeatherDay,
     default_forecast_noise,
     load_weather_csv,
@@ -92,16 +102,9 @@ class EnvSettings:
 class ShieldSettings:
     enabled: bool = True
     detector_threshold: float = 0.0
-    signed_detector: bool = False
     # "env" borrows the simulator's ground-truth dynamics (exact-model
     # screening); otherwise one fitted model per region.
     model: str | tuple[PredictorModel, ...] = "env"
-
-
-@dataclass(frozen=True)
-class SensorSettings:
-    lower_threshold: float = 4.96
-    upper_threshold: float = 6.97
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ class RunConfig:
     env: EnvSettings = field(default_factory=EnvSettings)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     shield: ShieldSettings = field(default_factory=ShieldSettings)
-    sensor: SensorSettings = field(default_factory=SensorSettings)
+    sensor: SensorControllerConfig = field(default_factory=SensorControllerConfig)
     policy_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -182,23 +185,21 @@ def build_env_config(run: RunConfig, episode_length: int | None = None,
     )
 
 
-def resolve_forecast_noise(run: RunConfig,
-                           season_et_mean: float | None = None) -> ForecastNoise:
-    if isinstance(run.forecast_noise, ForecastNoise):
-        return run.forecast_noise
-    if run.forecast_noise == "exact":
-        return ForecastNoise()
-    if season_et_mean is None:
-        raise ValueError("the 'default' noise preset needs the season ET mean")
-    return default_forecast_noise(season_et_mean)
+def measurement_run(run: RunConfig) -> RunConfig:
+    """The run with exact forecasts and a noise-free plant: the setting in
+    which seasons measure what the shield certifies.  Training keeps the
+    run's noisy configuration."""
+    return replace(run, forecast_noise="exact",
+                   env=replace(run.env, process_noise_std=0.0))
 
 
-def _climate_with_noise(run: RunConfig) -> ClimateParams:
-    if isinstance(run.forecast_noise, ForecastNoise):
-        return replace(run.climate, forecast_noise=run.forecast_noise)
-    if run.forecast_noise == "exact":
-        return replace(run.climate, forecast_noise=ForecastNoise())
-    return replace(run.climate, forecast_noise=None)   # derive the default
+def forecast_noise_model(run: RunConfig) -> NoiseModel:
+    """The run's forecast error for the weather builders.  The 'default'
+    preset is default_forecast_noise, which they scale by the mean ET of
+    the season they attach forecasts to."""
+    if run.forecast_noise == "default":
+        return default_forecast_noise
+    return ForecastNoise() if run.forecast_noise == "exact" else run.forecast_noise
 
 
 def build_season_weather(run: RunConfig, days: int | None = None,
@@ -210,16 +211,8 @@ def build_season_weather(run: RunConfig, days: int | None = None,
     not collide (e.g. evaluation vs training seasons).
     """
     n_days = days or run.days
+    noise = forecast_noise_model(run)
     if run.weather_csv is not None:
-        if isinstance(run.forecast_noise, ForecastNoise):
-            noise = run.forecast_noise
-        elif run.forecast_noise == "exact":
-            noise = ForecastNoise()
-        else:
-            # derive the default noise level from the log's own ET scale
-            plain = load_weather_csv(run.weather_csv, noise=ForecastNoise())
-            et_mean = float(np.mean([d.et for d in plain])) if plain else 0.0
-            noise = default_forecast_noise(et_mean)
         season = load_weather_csv(run.weather_csv, noise=noise,
                                   seed=run.seed + seed_offset)
         if len(season) < n_days + 1:
@@ -228,8 +221,8 @@ def build_season_weather(run: RunConfig, days: int | None = None,
                 f"got {len(season)}"
             )
         return season[:n_days + 1]
-    climate = _climate_with_noise(run)
-    return synthesize_season(run.seed + seed_offset, n_days + 1, climate)
+    return synthesize_season(run.seed + seed_offset, n_days + 1, run.climate,
+                             noise)
 
 
 def build_training_weather(run: RunConfig, n_seasons: int = 4) -> list[WeatherDay]:
@@ -242,14 +235,14 @@ def build_training_weather(run: RunConfig, n_seasons: int = 4) -> list[WeatherDa
         return build_season_weather(run)
     rng = np.random.default_rng(run.seed)
     seeds = [int(rng.integers(2 ** 32)) for _ in range(n_seasons)]
-    base_climate = _climate_with_noise(run)
+    noise = forecast_noise_model(run)
     corpus: list[WeatherDay] = []
     first_year = run.climate.start.year - n_seasons
     for k in range(n_seasons):
         start = dt.date(first_year + k, run.climate.start.month,
                         run.climate.start.day)
-        climate = replace(base_climate, start=start)
-        corpus.extend(synthesize_season(seeds[k], run.days + 1, climate))
+        climate = replace(run.climate, start=start)
+        corpus.extend(synthesize_season(seeds[k], run.days + 1, climate, noise))
     return corpus
 
 
@@ -262,150 +255,65 @@ def build_shield_models(run: RunConfig) -> tuple[PredictorModel, ...]:
 # -- JSON (de)serialization --------------------------------------------------
 
 
-def _model_to_dict(m: PredictorModel) -> dict:
-    return {"c1": m.c1, "c2": m.c2, "c3": m.c3, "b": m.b,
-            "r_squared": m.r_squared, "nrmse": m.nrmse}
+def to_json_dict(value):
+    """The JSON form of a RunConfig (or of any value in one): dataclasses
+    become objects, tuples lists and dates ISO strings."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json_dict(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [to_json_dict(v) for v in value]
+    return value.isoformat() if isinstance(value, dt.date) else value
 
 
-def _model_from_dict(d: dict) -> PredictorModel:
-    return PredictorModel(
-        c1=float(d["c1"]), c2=float(d["c2"]), c3=float(d["c3"]),
-        b=float(d["b"]),
-        r_squared=None if d.get("r_squared") is None else float(d["r_squared"]),
-        nrmse=None if d.get("nrmse") is None else float(d["nrmse"]),
-    )
+@functools.cache
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def to_json_dict(run: RunConfig) -> dict:
-    noise = run.forecast_noise
-    return {
-        "seed": run.seed,
-        "days": run.days,
-        "n_regions": run.n_regions,
-        "out_dir": run.out_dir,
-        "weather_csv": run.weather_csv,
-        "forecast_noise": noise if isinstance(noise, str) else dataclasses.asdict(noise),
-        "climate": {
-            "start": run.climate.start.isoformat(),
-            **{f.name: getattr(run.climate, f.name)
-               for f in dataclasses.fields(ClimateParams)
-               if f.name not in ("start", "et_params", "precip_event_prob",
-                                 "forecast_noise")},
-            "precip_event_prob": list(run.climate.precip_event_prob),
-        },
-        "profile": {
-            "awc_per_foot": run.profile.awc_per_foot,
-            "pwp_fraction": run.profile.pwp_fraction,
-            "root_depth_feet": run.profile.root_depth_feet,
-            "root_depth_inches": run.profile.root_depth_inches,
-            "sensor_depth_spans": list(run.profile.sensor_depth_spans),
-            "mad_fraction": run.profile.mad_fraction,
-        },
-        "dynamics": [_model_to_dict(m) for m in run.dynamics],
-        "reward": dataclasses.asdict(run.reward),
-        "env": dataclasses.asdict(run.env),
-        "trainer": {**dataclasses.asdict(run.trainer),
-                    "hidden": list(run.trainer.hidden)},
-        "shield": {
-            "enabled": run.shield.enabled,
-            "detector_threshold": run.shield.detector_threshold,
-            "signed_detector": run.shield.signed_detector,
-            "model": run.shield.model if isinstance(run.shield.model, str)
-            else [_model_to_dict(m) for m in run.shield.model],
-        },
-        "sensor": dataclasses.asdict(run.sensor),
-        "policy_path": run.policy_path,
-    }
-
-
-def _take(d: dict, allowed: set[str], section: str) -> dict:
-    unknown = set(d) - allowed
+def _decode_fields(cls, doc, path: str, base=None) -> dict:
+    """Constructor arguments of cls for the keys doc names; a nested section
+    merges over the same field of base."""
+    section = path or "config"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be an object")
+    hints = _field_types(cls)
+    unknown = set(doc) - set(hints)
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-    return d
+    return {k: _decode(hints[k], v, f"{path}.{k}" if path else k, getattr(base, k, None))
+            for k, v in doc.items()}
+
+
+def _decode(tp, value, path: str, base=None):
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        # X | None, and the str-or-structure fields (presets and "env")
+        options = [a for a in typing.get_args(tp) if a is not types.NoneType]
+        if value is None or (isinstance(value, str) and str in options):
+            return value
+        tp = options[-1]
+    if dataclasses.is_dataclass(tp):
+        kwargs = _decode_fields(tp, value, path, base)
+        return replace(base, **kwargs) if isinstance(base, tp) else tp(**kwargs)
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is dt.date:
+        return dt.date.fromisoformat(value)
+    return tp(value) if tp in (int, float, str) else value
 
 
 def from_json_dict(doc: dict) -> RunConfig:
-    """Build a RunConfig from a (possibly partial) JSON document."""
-    base = RunConfig()
-    top_allowed = {
-        "seed", "days", "n_regions", "out_dir", "weather_csv",
-        "forecast_noise", "climate", "profile", "dynamics", "reward", "env",
-        "trainer", "shield", "sensor", "policy_path",
-    }
-    _take(doc, top_allowed, "config")
-
-    noise = doc.get("forecast_noise", base.forecast_noise)
-    if isinstance(noise, dict):
-        noise = ForecastNoise(**noise)
-
-    climate = base.climate
-    if "climate" in doc:
-        cdict = dict(doc["climate"])
-        if "start" in cdict:
-            cdict["start"] = dt.date.fromisoformat(cdict["start"])
-        if "precip_event_prob" in cdict:
-            cdict["precip_event_prob"] = tuple(cdict["precip_event_prob"])
-        climate = replace(climate, **cdict)
-
-    profile = base.profile
-    if "profile" in doc:
-        pdict = dict(doc["profile"])
-        if "sensor_depth_spans" in pdict:
-            pdict["sensor_depth_spans"] = tuple(pdict["sensor_depth_spans"])
-        profile = SoilProfile(**{**{
-            "awc_per_foot": profile.awc_per_foot,
-            "pwp_fraction": profile.pwp_fraction,
-            "root_depth_feet": profile.root_depth_feet,
-            "root_depth_inches": profile.root_depth_inches,
-            "sensor_depth_spans": profile.sensor_depth_spans,
-            "mad_fraction": profile.mad_fraction,
-        }, **pdict})
-
-    n_regions = int(doc.get("n_regions", base.n_regions))
-    if "dynamics" in doc:
-        dynamics = tuple(_model_from_dict(d) for d in doc["dynamics"])
-    else:
-        dynamics = tuple(DEFAULT_REGION_DYNAMICS[i % len(DEFAULT_REGION_DYNAMICS)]
-                         for i in range(n_regions))
-
-    reward = RewardWeights(**doc["reward"]) if "reward" in doc else base.reward
-    env_settings = EnvSettings(**doc["env"]) if "env" in doc else base.env
-
-    trainer = base.trainer
-    if "trainer" in doc:
-        tdict = dict(doc["trainer"])
-        _take(tdict, {f.name for f in dataclasses.fields(TrainerConfig)}, "trainer")
-        if "hidden" in tdict:
-            tdict["hidden"] = tuple(tdict["hidden"])
-        trainer = replace(trainer, **tdict)
-
-    shield = base.shield
-    if "shield" in doc:
-        sdict = dict(doc["shield"])
-        if "model" in sdict and not isinstance(sdict["model"], str):
-            sdict["model"] = tuple(_model_from_dict(m) for m in sdict["model"])
-        shield = replace(shield, **sdict)
-
-    sensor = SensorSettings(**doc["sensor"]) if "sensor" in doc else base.sensor
-
-    return RunConfig(
-        seed=int(doc.get("seed", base.seed)),
-        days=int(doc.get("days", base.days)),
-        n_regions=n_regions,
-        out_dir=str(doc.get("out_dir", base.out_dir)),
-        weather_csv=doc.get("weather_csv", base.weather_csv),
-        forecast_noise=noise,
-        climate=climate,
-        profile=profile,
-        dynamics=dynamics,
-        reward=reward,
-        env=env_settings,
-        trainer=trainer,
-        shield=shield,
-        sensor=sensor,
-        policy_path=doc.get("policy_path", base.policy_path),
-    )
+    """Build a RunConfig from a (possibly partial) JSON document; omitted
+    dynamics repeat the default region models up to n_regions."""
+    kwargs = _decode_fields(RunConfig, doc, "", RunConfig())
+    if "dynamics" not in kwargs:
+        n_regions = kwargs.get("n_regions", RunConfig.n_regions)
+        kwargs["dynamics"] = tuple(
+            DEFAULT_REGION_DYNAMICS[i % len(DEFAULT_REGION_DYNAMICS)]
+            for i in range(n_regions))
+    return RunConfig(**kwargs)
 
 
 def save_config(run: RunConfig, path) -> None:

@@ -12,11 +12,9 @@ executes an action it predicts unsafe unless even a_max falls short.  This
 is the minimal correction of Dalal et al. 2018 for one linear constraint
 per region.
 
-The default detector aggregates per-region positive parts,
+The detector aggregates per-region positive parts,
 sum_i max(0, v_mad - v_hat_i), so a well-watered region can never mask
-another region's predicted deficit.  A signed variant
-sum_i (v_mad - v_hat_i) is available behind ``signed_detector`` for
-fidelity comparisons.
+another region's predicted deficit.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ class ShieldConfig:
     v_mad: float
     detector_threshold: float = 0.0
     enabled: bool = True
-    signed_detector: bool = False
     cap: float | None = None
     a_max: float | None = None
 
@@ -114,10 +111,7 @@ def predicted_deficit(config: ShieldConfig, state: EnvState,
     stress deficit those predictions imply."""
     a = np.asarray(action, dtype=float).reshape(-1)
     v_hat = _predict(config, state, config.coefficients(len(a)), a)
-    gaps = config.v_mad - v_hat
-    if not config.signed_detector:
-        gaps = np.maximum(0.0, gaps)
-    return v_hat, float(gaps.sum())
+    return v_hat, float(np.maximum(0.0, config.v_mad - v_hat).sum())
 
 
 def _least_safe_action(config: ShieldConfig, state: EnvState,

@@ -16,6 +16,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -196,7 +197,10 @@ class ClimateParams:
     precip_scale: float = 0.25
     precip_cap: float = 1.5
     wet_day_et_factor: float = 0.7
-    forecast_noise: ForecastNoise | None = None   # None = derive the default
+
+    def __post_init__(self) -> None:
+        if len(self.precip_event_prob) != 12:
+            raise ValueError("precip_event_prob needs one probability per month")
 
     def seasonal_phase(self, date: dt.date) -> float:
         """0..1 position within the nominal growing season (clipped)."""
@@ -259,14 +263,19 @@ def attach_forecasts(days: list[WeatherDay], noise: ForecastNoise,
     return out
 
 
-def synthesize_season(seed: int, days: int,
-                      climate: ClimateParams | None = None) -> list[WeatherDay]:
+# A forecast error model, or a function that scales one to a season's mean ET.
+NoiseModel = ForecastNoise | Callable[[float], ForecastNoise]
+
+
+def synthesize_season(seed: int, days: int, climate: ClimateParams | None = None,
+                      noise: NoiseModel = default_forecast_noise) -> list[WeatherDay]:
     """Generate a deterministic synthetic season of daily records.
 
     Returns exactly ``days`` records starting at ``climate.start``; every
-    record except the last carries forecast channels for its successor.
-    With the default climate, 246 days span March 1 through November 1 of
-    the start year with a Central-Valley-like temperature/ET arc.
+    record except the last carries forecast channels for its successor,
+    drawn with noise (default: default_forecast_noise of the season's mean
+    ET).  With the default climate, 246 days span March 1 through November 1
+    of the start year with a Central-Valley-like temperature/ET arc.
     """
     if days < 1:
         raise ValueError("days must be >= 1")
@@ -274,10 +283,8 @@ def synthesize_season(seed: int, days: int,
     rng = np.random.default_rng(seed)
     raw = [_synthesize_raw_day(climate.start + dt.timedelta(days=i), climate, rng)
            for i in range(days)]
-    noise = climate.forecast_noise
-    if noise is None:
-        et_mean = float(np.mean([d.et for d in raw]))
-        noise = default_forecast_noise(et_mean)
+    if callable(noise):
+        noise = noise(float(np.mean([d.et for d in raw])))
     return attach_forecasts(raw, noise, rng)
 
 
@@ -290,7 +297,7 @@ def write_weather_csv(path, days: list[WeatherDay]) -> None:
             writer.writerow([d.date.isoformat()] + [repr(x) for x in d.numeric_channels])
 
 
-def load_weather_csv(path, noise: ForecastNoise | None = None,
+def load_weather_csv(path, noise: NoiseModel | None = None,
                      seed: int = 0) -> list[WeatherDay]:
     """Read a daily weather log and populate forecast channels.
 
@@ -299,7 +306,8 @@ def load_weather_csv(path, noise: ForecastNoise | None = None,
     result drops the final row as a standalone day: with n input rows you
     get n - 1 usable records (the last row only feeds the preceding day's
     forecast and final transition).  Default noise is zero, i.e. forecasts
-    equal the following row's actuals.
+    equal the following row's actuals; a function of the mean ET is scaled
+    by the usable records'.
     """
     days: list[WeatherDay] = []
     with open(path, newline="") as fh:
@@ -331,6 +339,9 @@ def load_weather_csv(path, noise: ForecastNoise | None = None,
             days.append(day)
     if not days:
         return []
+    if callable(noise):
+        usable = days[:-1]
+        noise = noise(float(np.mean([d.et for d in usable])) if usable else 0.0)
     rng = np.random.default_rng(seed)
     with_fc = attach_forecasts(days, noise or ForecastNoise(), rng)
     return with_fc[:-1]

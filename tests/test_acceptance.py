@@ -7,7 +7,6 @@ realistic noisy defaults are exercised throughout the module suites.
 """
 
 import copy
-import dataclasses
 import time
 
 import numpy as np
@@ -28,6 +27,7 @@ from orchardrl.evalharness import (
 from orchardrl.hydrology import derive_levels
 from orchardrl.hydrology import testbed_profile as orchard_profile
 from orchardrl.predictor import TREE1_MODEL, ObservationRow, fit, predict_next
+from orchardrl import runconfig
 from orchardrl.runconfig import default_run_config
 from orchardrl.weather import WeatherDay
 
@@ -46,9 +46,7 @@ def default_run():
 
 @pytest.fixture(scope="session")
 def measurement_run(default_run):
-    return dataclasses.replace(
-        default_run, forecast_noise="exact",
-        env=dataclasses.replace(default_run.env, process_noise_std=0.0))
+    return runconfig.measurement_run(default_run)
 
 
 @pytest.fixture(scope="session")

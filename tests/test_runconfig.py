@@ -2,23 +2,34 @@
 
 import dataclasses
 import datetime as dt
+import re
 
+import numpy as np
 import pytest
 
-from orchardrl.predictor import TREE1_MODEL, TREE2_MODEL
+from orchardrl.env import DEFAULT_REGION_DYNAMICS
+from orchardrl.hydrology import SoilProfile
+from orchardrl.predictor import TREE1_MODEL, TREE2_MODEL, PredictorModel
 from orchardrl.runconfig import (
     RunConfig,
+    build_env_config,
     build_season_weather,
     build_training_weather,
     config_hash,
     default_run_config,
+    forecast_noise_model,
     from_json_dict,
     load_config,
-    resolve_forecast_noise,
     save_config,
     to_json_dict,
 )
-from orchardrl.weather import ForecastNoise, synthesize_season, write_weather_csv
+from orchardrl.weather import (
+    EtModelParams,
+    ForecastNoise,
+    default_forecast_noise,
+    synthesize_season,
+    write_weather_csv,
+)
 
 
 class TestValidation:
@@ -35,6 +46,11 @@ class TestValidation:
     def test_forecast_preset_names(self):
         with pytest.raises(ValueError, match="preset"):
             default_run_config(forecast_noise="bogus")
+
+    def test_sensor_thresholds_checked_at_load(self):
+        with pytest.raises(ValueError, match="lower_threshold"):
+            from_json_dict({"sensor": {"lower_threshold": 7.0,
+                                       "upper_threshold": 6.0}})
 
 
 class TestJsonRoundTrip:
@@ -100,6 +116,76 @@ class TestJsonRoundTrip:
                            r"\['episodes_per_worker', 'workers'\]"):
             from_json_dict({"trainer": {"workers": 2, "episodes_per_worker": 16}})
 
+    @pytest.mark.parametrize("section, doc", [
+        ("climate", {"climate": {"rainfall": 1.0}}),
+        ("climate.et_params", {"climate": {"et_params": {"kc": 0.8}}}),
+        ("profile", {"profile": {"clay": 0.2}}),
+        ("reward", {"reward": {"lambda2": 1.0}}),
+        ("env", {"env": {"valves": 2}}),
+        ("trainer", {"trainer": {"workers": 2}}),
+        ("shield", {"shield": {"signed_detector": True}}),
+        ("shield.model[0]", {"shield": {"model": [
+            {"c1": 1.0, "c2": 1.0, "c3": -1.0, "b": 0.0, "r2": 1.0}]}}),
+        ("sensor", {"sensor": {"hysteresis": 0.1}}),
+        ("forecast_noise", {"forecast_noise": {"bias": 0.1}}),
+        ("dynamics[1]", {"dynamics": [
+            {"c1": 1.0, "c2": 1.0, "c3": -1.0, "b": 0.0},
+            {"c1": 1.0, "c2": 1.0, "c3": -1.0, "b": 0.0, "d": 0.0}]}),
+    ])
+    def test_unknown_section_key_named(self, section, doc):
+        with pytest.raises(ValueError, match=rf"^unknown {re.escape(section)} keys"):
+            from_json_dict(doc)
+
+    def test_climate_et_params_drive_synthetic_et(self):
+        doc = {"days": 30, "climate": {"et_params": {"gamma_c": 0.0046}}}
+        run = from_json_dict(doc)
+        assert run.climate.et_params == EtModelParams(gamma_c=0.0046)
+        base = [d.et for d in build_season_weather(from_json_dict({"days": 30}))]
+        doubled = [d.et for d in build_season_weather(run)]
+        assert np.mean(doubled) > 1.5 * np.mean(base)
+
+
+# The documents the benchmark harness writes (perfbench/workloads.py): its
+# output checks replay exactly these values, so they must decode unchanged.
+BENCH_PROFILE = {"awc_per_foot": 2.4, "pwp_fraction": 0.10,
+                 "root_depth_feet": 1.97, "root_depth_inches": 23.62,
+                 "sensor_depth_spans": [11.81, 11.81], "mad_fraction": 0.5}
+BENCH_DYNAMICS = ({"c1": 0.998, "c2": 0.95, "c3": -0.70, "b": 0.002},
+                  {"c1": 0.997, "c2": 0.93, "c3": -0.75, "b": 0.003})
+
+
+class TestBenchmarkDocuments:
+    def test_train_document(self):
+        run = from_json_dict({"seed": 123, "trainer": {
+            "max_iterations": 4, "convergence_window": 5}})
+        defaults = default_run_config()
+        assert run.seed == 123
+        assert run.trainer == dataclasses.replace(
+            defaults.trainer, max_iterations=4, convergence_window=5)
+        assert dataclasses.replace(run, seed=0, trainer=defaults.trainer) == defaults
+
+    @pytest.mark.parametrize("n_regions", [2, 16])
+    def test_compare_document(self, n_regions):
+        run = from_json_dict({
+            "seed": 77, "days": 246, "n_regions": n_regions,
+            "forecast_noise": "exact", "profile": BENCH_PROFILE,
+            "dynamics": [BENCH_DYNAMICS[i % 2] for i in range(n_regions)],
+            "env": {"a_max": 0.54, "surplus_headroom": 1.0,
+                    "process_noise_std": 0.0}})
+        assert (run.seed, run.days, run.n_regions) == (77, 246, n_regions)
+        assert run.forecast_noise == "exact"
+        assert run.profile == SoilProfile(2.4, 0.10, 1.97, 23.62, (11.81, 11.81), 0.5)
+        assert run.dynamics == tuple(
+            DEFAULT_REGION_DYNAMICS[i % 2] for i in range(n_regions))
+        assert all(type(m) is PredictorModel for m in run.dynamics)
+        assert (run.env.a_max, run.env.surplus_headroom,
+                run.env.process_noise_std) == (0.54, 1.0, 0.0)
+        defaults = default_run_config()
+        assert (run.reward, run.trainer, run.shield, run.sensor, run.climate) == (
+            defaults.reward, defaults.trainer, defaults.shield, defaults.sensor,
+            defaults.climate)
+        assert build_env_config(run).n_regions == n_regions
+
 
 class TestConfigHash:
     def test_stable(self):
@@ -123,21 +209,29 @@ class TestConfigHash:
 
 class TestForecastNoiseResolution:
     def test_exact_preset_is_noiseless(self):
-        run = default_run_config(forecast_noise="exact")
-        assert resolve_forecast_noise(run) == ForecastNoise()
+        run = default_run_config(days=40, forecast_noise="exact")
+        assert forecast_noise_model(run) == ForecastNoise()
+        season = build_season_weather(run)
+        for today, tomorrow in zip(season, season[1:]):
+            assert today.predicted_et_next == tomorrow.et
+            assert today.forecast_precip_next == tomorrow.precip
 
     def test_explicit_noise_passes_through(self):
         noise = ForecastNoise(et_std=0.02)
-        run = default_run_config(forecast_noise=noise)
-        assert resolve_forecast_noise(run) is noise
+        run = default_run_config(days=40, forecast_noise=noise)
+        assert forecast_noise_model(run) is noise
+        assert build_season_weather(run) == synthesize_season(
+            run.seed, 41, run.climate, noise)
 
     def test_default_preset_needs_et_scale(self):
-        run = default_run_config()
-        with pytest.raises(ValueError, match="ET mean"):
-            resolve_forecast_noise(run)
-        got = resolve_forecast_noise(run, season_et_mean=0.2)
+        run = default_run_config(days=40)
+        got = forecast_noise_model(run)(0.2)
         assert got.et_std == pytest.approx(0.02)
         assert got.miss_rate == 0.15
+        season = build_season_weather(run)
+        season_et = float(np.mean([d.et for d in season]))
+        assert season == synthesize_season(
+            run.seed, 41, run.climate, default_forecast_noise(season_et))
 
 
 class TestWeatherBuilders:

@@ -103,13 +103,6 @@ class TestPredictedDeficit:
         # only region 2 contributes: 4.726 - (0.973*4 - 0.0103 + 0.003)
         assert deficit == pytest.approx(V_MAD - 3.8847, abs=1e-9)
 
-    def test_signed_detector_lets_surplus_mask(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD,
-                           signed_detector=True)
-        state = make_state([7.0, 4.0], et_next=0.1)
-        _, deficit = predicted_deficit(cfg, state, np.zeros(2))
-        assert deficit < 0.0   # net surplus hides the stressed region
-
     def test_cap_limits_predictions(self):
         cfg = ShieldConfig(model=PredictorModel(c1=1.0, c2=1.0, c3=0.0, b=0.0),
                            v_mad=V_MAD, cap=8.0)

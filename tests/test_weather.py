@@ -171,9 +171,12 @@ class TestSynthesizeSeason:
         season = synthesize_season(1, 120, climate)
         assert all(d.precip == 0.0 for d in season)
 
+    def test_precip_probabilities_cover_every_month(self):
+        with pytest.raises(ValueError, match="per month"):
+            ClimateParams(precip_event_prob=(0.1,) * 11)
+
     def test_exact_forecasts_match_next_actuals(self):
-        climate = ClimateParams(forecast_noise=ForecastNoise())
-        season = synthesize_season(5, 60, climate)
+        season = synthesize_season(5, 60, noise=ForecastNoise())
         for today, tomorrow in zip(season, season[1:]):
             assert today.predicted_et_next == tomorrow.et
             assert today.forecast_precip_next == tomorrow.precip
