@@ -9,40 +9,20 @@ noise, the setting under which the shield's guarantees are checked.
 """
 
 import argparse
-import dataclasses
 
+from orchardrl.cli import load_run, obtain_policy
 from orchardrl.evalharness import (
     build_controller,
     per_region_band_days,
     qos,
     run_roster,
-    train_policy_for_run,
     water_savings,
     write_results,
 )
-from orchardrl.agent.policy import load_policy
-from orchardrl.runconfig import build_levels, default_run_config, load_config, measurement_run
+from orchardrl.runconfig import build_levels, measurement_run, with_reward_kind
 
 
-def build_run(args):
-    run = load_config(args.config) if args.config else default_run_config()
-    if args.seed is not None:
-        run = dataclasses.replace(run, seed=args.seed)
-    if args.days is not None:
-        run = dataclasses.replace(run, days=args.days)
-    return run
-
-
-def obtain(run, path, reward_kind, label):
-    if path:
-        return load_policy(path)
-    print(f"[{label}] training (reward={reward_kind}, seed={run.seed})",
-          flush=True)
-    policy, _ = train_policy_for_run(run, reward_kind=reward_kind)
-    return policy
-
-
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", help="run-config JSON (defaults if omitted)")
     parser.add_argument("--seed", type=int)
@@ -52,12 +32,13 @@ def main() -> int:
     parser.add_argument("--measurement", action="store_true",
                         help="exact forecasts, zero process noise")
     parser.add_argument("--out", default="results/comparison")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    run = build_run(args)
+    run = load_run(args)
     levels = build_levels(run)
-    policy = obtain(run, args.policy, run.reward.kind, "rl")
-    policy_mad = obtain(run, args.policy_mad, "mad-only", "rl-mad")
+    policy = obtain_policy(run, args.policy, "rl")
+    policy_mad = obtain_policy(with_reward_kind(run, "mad-only"), args.policy_mad,
+                               "rl-mad")
 
     season = measurement_run(run) if args.measurement else run
     roster = {
@@ -68,7 +49,7 @@ def main() -> int:
         "rl-noshield": build_controller(season, "rl-noshield", policy=policy),
     }
     result = run_roster(season, roster)
-    write_results(args.out, result, levels)
+    write_results(run.out_dir, result, levels)
 
     et_entry = result.entries["et"]
     print(f"\nseason {season.days} days, seed {season.seed}, "
@@ -85,7 +66,7 @@ def main() -> int:
     print("\nrl per-region day counts (below / in-band / above):")
     for i in range(len(below)):
         print(f"  region {i}: {below[i]:3d} / {in_band[i]:3d} / {above[i]:3d}")
-    print(f"results -> {args.out}")
+    print(f"results -> {run.out_dir}")
     return 0
 
 

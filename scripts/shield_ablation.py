@@ -11,25 +11,10 @@ what the forecast looked like.
 
 import argparse
 import copy
-import dataclasses
 
-from orchardrl.agent.policy import load_policy
-from orchardrl.evalharness import (
-    build_controller,
-    qos,
-    run_season,
-    train_policy_for_run,
-)
-from orchardrl.runconfig import build_levels, default_run_config, load_config, measurement_run
-
-
-def build_run(args):
-    run = load_config(args.config) if args.config else default_run_config()
-    if args.seed is not None:
-        run = dataclasses.replace(run, seed=args.seed)
-    if args.days is not None:
-        run = dataclasses.replace(run, days=args.days)
-    return run
+from orchardrl.cli import load_run, obtain_policy
+from orchardrl.evalharness import build_controller, qos, run_season
+from orchardrl.runconfig import build_levels, measurement_run
 
 
 def rewire_to_zero(policy):
@@ -39,7 +24,7 @@ def rewire_to_zero(policy):
     return adversary
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", help="run-config JSON (defaults if omitted)")
     parser.add_argument("--seed", type=int)
@@ -47,15 +32,11 @@ def main() -> int:
     parser.add_argument("--policy", help="trained snapshot (.npz); trains if omitted")
     parser.add_argument("--max-log", type=int, default=10,
                         help="trigger-day log length (default 10)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    run = build_run(args)
+    run = load_run(args)
     levels = build_levels(run)
-    if args.policy:
-        policy = load_policy(args.policy)
-    else:
-        print(f"no snapshot given; training (seed={run.seed})", flush=True)
-        policy, _ = train_policy_for_run(run)
+    policy = obtain_policy(run, args.policy, "rl")
 
     season = measurement_run(run)
     grid = {

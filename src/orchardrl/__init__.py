@@ -22,7 +22,6 @@ from .predictor import (
     diagnostics,
     fit,
     predict_next,
-    rollout,
 )
 from .weather import (
     ClimateParams,
@@ -41,11 +40,9 @@ from .env import (
     EnvState,
     IrrigationEnv,
     NormalizationStats,
+    PlantParams,
     RewardParams,
     Transition,
-    action_to_duration,
-    default_env_config,
-    denormalize,
     normalize,
     reward,
     reward_mad_only,
@@ -58,7 +55,6 @@ from .agent import (
     load_policy,
     ppo_loss,
     returns_to_go,
-    sample_action,
     train,
 )
 from .controllers import (
@@ -82,7 +78,6 @@ from .evalharness import (
 from .runconfig import (
     RunConfig,
     default_run_config,
-    field15_run_config,
     load_config,
     save_config,
 )

@@ -6,7 +6,6 @@ from .policy import (
     LOG_STD_MIN,
     SquashedGaussianPolicy,
     load_policy,
-    sample_action,
 )
 from .ppo import (
     RolloutBatch,
@@ -14,7 +13,6 @@ from .ppo import (
     TrainingDiverged,
     finite_difference_gradient,
     gradient_check,
-    importance_ratio,
     normalized_advantages,
     ppo_loss,
     ppo_loss_and_grads,
@@ -30,13 +28,11 @@ __all__ = [
     "LOG_STD_MIN",
     "SquashedGaussianPolicy",
     "load_policy",
-    "sample_action",
     "RolloutBatch",
     "TrainerConfig",
     "TrainingDiverged",
     "finite_difference_gradient",
     "gradient_check",
-    "importance_ratio",
     "normalized_advantages",
     "ppo_loss",
     "ppo_loss_and_grads",

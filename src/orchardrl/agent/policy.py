@@ -194,10 +194,3 @@ def load_policy(path) -> SquashedGaussianPolicy:
             policy.norm_stats = NormalizationStats(mean=np.array(data["norm_mean"]),
                                                    std=np.array(data["norm_std"]))
     return policy
-
-
-def sample_action(policy: SquashedGaussianPolicy, obs: np.ndarray,
-                  seed: int) -> tuple[np.ndarray, float]:
-    """Seeded single-action draw: (action, log_prob)."""
-    a, _, logp = policy.sample(obs, np.random.default_rng(seed))
-    return a, logp

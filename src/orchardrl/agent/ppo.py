@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import NormalizationStats, VecIrrigationEnv
+from ..env import N_MONTHS, NormalizationStats, VecIrrigationEnv
 from .mlp import AdamOptimizer
 from .policy import SquashedGaussianPolicy
 
@@ -89,17 +89,6 @@ class RolloutBatch:
     def subset(self, idx: np.ndarray) -> "RolloutBatch":
         return RolloutBatch(self.obs[idx], self.pre_squash[idx],
                             self.old_log_prob[idx], self.returns[idx])
-
-
-def importance_ratio(policy: SquashedGaussianPolicy, old_log_prob: float,
-                     obs: np.ndarray, pre_squash: np.ndarray) -> float:
-    """w = exp(log pi(a|s) - old_log_prob) for one rollout record.
-
-    The action is identified by its pre-squash sample, so the density is
-    evaluated at exactly the stored point.
-    """
-    logp = float(policy.log_prob(np.atleast_2d(obs), np.atleast_2d(pre_squash))[0])
-    return math.exp(logp - float(old_log_prob))
 
 
 def _surrogate_terms(policy: SquashedGaussianPolicy, batch: RolloutBatch,
@@ -225,7 +214,10 @@ class TrainerConfig:
     default environment).  episodes_per_iteration is the number of episodes
     the rollout steps in lockstep; it keeps the collection batch
     (episodes_per_iteration * episode_length samples) comfortably above
-    minibatch_size.
+    minibatch_size.  episode_length is the length of the training
+    environment's episodes: the caller builds that environment with it
+    (evalharness.train_policy_for_run), and train reads the length from the
+    environment it is given.
     """
 
     learning_rate: float = 0.001
@@ -297,18 +289,18 @@ def _collect_normalization_stats(env: VecIrrigationEnv, config: TrainerConfig,
     Each episode draws its reset seed and then its whole action sequence, and
     the samples are pooled episode by episode.
     """
-    n_regions = env.config.n_regions
+    cfg = env.config
     seeds, actions = [], []
     for _ in range(config.warmup_episodes):
         seeds.append(int(rng.integers(2 ** 32)))
-        actions.append(rng.uniform(0.0, env.config.a_max,
-                                   size=(config.episode_length, n_regions)))
+        actions.append(rng.uniform(0.0, cfg.plant.a_max,
+                                   size=(cfg.episode_length, len(cfg.dynamics))))
     actions = np.stack(actions, axis=1)    # (days, episodes, n_regions)
     samples = [env.reset(seeds)]
     for a in actions:
         samples.append(env.step(a)[0])
-    n_continuous = env.config.obs_dim - 12   # month one-hot stays raw
-    episode_major = np.stack(samples, axis=1).reshape(-1, env.config.obs_dim)
+    n_continuous = cfg.obs_dim - N_MONTHS   # month one-hot stays raw
+    episode_major = np.stack(samples, axis=1).reshape(-1, cfg.obs_dim)
     return NormalizationStats.from_samples(episode_major, n_continuous)
 
 
@@ -322,10 +314,10 @@ def _rollout(env: VecIrrigationEnv, policy: SquashedGaussianPolicy,
     returns-to-go as an (episodes, days) array, and each episode's total
     reward.
     """
-    E, L = config.episodes_per_iteration, config.episode_length
+    E, L = config.episodes_per_iteration, env.config.episode_length
     raw = env.reset(rng.integers(2 ** 32, size=E))
     obs = np.empty((L, E, env.config.obs_dim))
-    pre_squash = np.empty((L, E, env.config.n_regions))
+    pre_squash = np.empty((L, E, len(env.config.dynamics)))
     logp = np.empty((L, E))
     rewards = np.empty((L, E))
     for t in range(L):
@@ -342,32 +334,30 @@ def _rollout(env: VecIrrigationEnv, policy: SquashedGaussianPolicy,
     return batch, returns, rewards.sum(axis=0)
 
 
-def train(config: TrainerConfig, env_factory, seed: int
+def train(config: TrainerConfig, env: VecIrrigationEnv, seed: int
           ) -> tuple[SquashedGaussianPolicy, list[CurvePoint]]:
-    """Optimize a policy against the environment env_factory builds.
+    """Optimize a policy against env, whose configuration sets the episode
+    length, the reward and the plant; every reset draws each episode's
+    start, initial soil water and noise from its own seed.
 
-    env_factory is called once; its IrrigationEnv's configuration, weather
-    and start rule define a VecIrrigationEnv.  Each iteration steps
-    episodes_per_iteration episodes in lockstep under the frozen current
-    parameters (one batched policy sample and one array env step per day),
-    computes returns-to-go, subtracts the batch mean return at each day
-    index as a baseline, normalizes the result into advantages, then takes
-    minibatch surrogate steps.  Stops early once the mean episode reward of
-    the last convergence_window iterations sits within convergence_band of
-    the window before it for convergence_patience consecutive iterations
-    (episode totals are noisy, so a single window pass is not trusted).
-    Fully deterministic for a fixed (seed, config, env_factory).
+    Each iteration steps episodes_per_iteration episodes of env in lockstep
+    under the frozen current parameters (one batched policy sample and one
+    array env step per day), computes returns-to-go, subtracts the batch
+    mean return at each day index as a baseline, normalizes the result into
+    advantages, then takes minibatch surrogate steps.  Stops early once the
+    mean episode reward of the last convergence_window iterations sits
+    within convergence_band of the window before it for
+    convergence_patience consecutive iterations (episode totals are noisy,
+    so a single window pass is not trusted).
+    Fully deterministic for a fixed (seed, config, env).
     """
     rng = np.random.default_rng(seed)
-    template = env_factory()
-    env = VecIrrigationEnv(template.config, template.weather,
-                           random_start=template.random_start)
     env_cfg = env.config
 
     stats = _collect_normalization_stats(env, config, rng)
     policy = SquashedGaussianPolicy(
-        obs_dim=env_cfg.obs_dim, n_regions=env_cfg.n_regions,
-        a_max=env_cfg.a_max, hidden=config.hidden,
+        obs_dim=env_cfg.obs_dim, n_regions=len(env_cfg.dynamics),
+        a_max=env_cfg.plant.a_max, hidden=config.hidden,
         seed=int(rng.integers(2 ** 32)), init_log_std=config.init_log_std)
     policy.norm_stats = stats
     optimizer = AdamOptimizer(policy.param_arrays, lr=config.learning_rate)

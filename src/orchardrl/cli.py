@@ -18,6 +18,7 @@ import sys
 from . import evalharness
 from .agent.policy import load_policy
 from .agent.ppo import write_training_curve
+from .env import REWARD_KINDS
 from .predictor import fit, load_observations_csv
 from .runconfig import (
     RunConfig,
@@ -26,6 +27,7 @@ from .runconfig import (
     load_config,
     save_config,
     to_json_dict,
+    with_reward_kind,
 )
 from .weather import synthesize_season, write_weather_csv
 
@@ -40,7 +42,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--days", type=int, help="override season length in days")
 
 
-def _load_run(args) -> RunConfig:
+def load_run(args) -> RunConfig:
+    """The run named by --config (defaults if omitted) with the command
+    line's overrides applied."""
     run = load_config(args.config) if args.config else default_run_config()
     updates = {}
     if getattr(args, "seed", None) is not None:
@@ -56,13 +60,13 @@ def _load_run(args) -> RunConfig:
     return dataclasses.replace(run, **updates) if updates else run
 
 
-def _obtain_policy(run: RunConfig, path: str | None, reward_kind: str,
-                   label: str):
+def obtain_policy(run: RunConfig, path: str | None, label: str):
+    """The snapshot at path, or a policy trained now on the run's reward."""
     if path:
         return load_policy(path)
     print(f"[{label}] no policy snapshot given; training one "
-          f"(reward={reward_kind}, seed={run.seed})", flush=True)
-    policy, _ = evalharness.train_policy_for_run(run, reward_kind=reward_kind)
+          f"(reward={run.reward.kind}, seed={run.seed})", flush=True)
+    policy, _ = evalharness.train_policy_for_run(run)
     return policy
 
 
@@ -93,8 +97,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = _load_run(args)
-    policy, curve = evalharness.train_policy_for_run(run, reward_kind=run.reward.kind)
+    run = load_run(args)
+    policy, curve = evalharness.train_policy_for_run(run)
     outdir = run.out_dir
     os.makedirs(outdir, exist_ok=True)
     policy_path = os.path.join(outdir, "policy.npz")
@@ -118,12 +122,13 @@ def _print_summary(name: str, entry, levels) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    run = _load_run(args)
+    run = load_run(args)
     levels = evalharness.build_levels(run)
     policy = None
     if args.controller in RL_CONTROLLERS:
         kind = "mad-only" if args.controller == "rl-mad" else run.reward.kind
-        policy = _obtain_policy(run, args.policy, kind, args.controller)
+        policy = obtain_policy(with_reward_kind(run, kind), args.policy,
+                               args.controller)
     controller = evalharness.build_controller(run, args.controller, policy=policy)
     entry = evalharness.run_season(run, controller, name=args.controller)
     result = evalharness.ExperimentResult(
@@ -137,10 +142,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    run = _load_run(args)
+    run = load_run(args)
     levels = evalharness.build_levels(run)
-    policy = _obtain_policy(run, args.policy, run.reward.kind, "rl")
-    policy_mad = _obtain_policy(run, args.policy_mad, "mad-only", "rl-mad")
+    policy = obtain_policy(run, args.policy, "rl")
+    policy_mad = obtain_policy(with_reward_kind(run, "mad-only"), args.policy_mad,
+                               "rl-mad")
     controllers = {
         "et": evalharness.build_controller(run, "et"),
         "sensor": evalharness.build_controller(run, "sensor"),
@@ -184,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a policy and persist the snapshot")
     _add_common(p)
-    p.add_argument("--reward", choices=("full", "mad-only"),
+    p.add_argument("--reward", choices=REWARD_KINDS,
                    help="reward variant to train against")
     p.set_defaults(func=cmd_train)
 
@@ -194,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", help="policy snapshot (.npz) for rl controllers")
     p.add_argument("--no-shield", action="store_true",
                    help="disable the safety shield for this run")
-    p.add_argument("--reward", choices=("full", "mad-only"),
-                   help="reward variant logged by the environment")
+    p.add_argument("--reward", choices=REWARD_KINDS,
+                   help="reward to train against when an rl controller has no "
+                        "--policy (rl-mad always trains on mad-only)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="paired roster comparison over one season")

@@ -6,11 +6,18 @@ next-day forecast channels; actions are per-region irrigation depths in
 water-balance model with optional Gaussian process noise; the reward
 penalizes over-irrigation, water use, and stress-threshold violations.
 
+EnvConfig holds the soil levels, one dynamics model per region, the episode
+length, the reward weights (RewardParams) and the plant settings
+(PlantParams); the last two are the run config's ``reward`` and ``env``
+sections as they stand.
+
 Timeline convention: a state on day t carries day t's completed weather
 record (whose forecast channels look at day t+1); the step from t to t+1 is
 driven by day t+1's actual ET and precipitation.  A season of n+1 records
 therefore supports n control days, and environments require
-``episode_length + 1`` weather records.
+``episode_length + 1`` weather records.  Every reset draws its first record
+uniformly among those that leave room for a whole episode, so a season of
+exactly ``episode_length + 1`` records always starts on its first day.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hydrology import SoilLevels, SoilProfile, derive_levels, testbed_profile
+from .hydrology import SoilLevels
 from .predictor import (
     PredictorModel,
     coefficient_table,
@@ -34,29 +41,36 @@ N_FORECAST_CHANNELS = 2   # predicted ET and forecast precip for tomorrow
 N_MONTHS = 12
 
 
+REWARD_KINDS = ("full", "mad-only")
+
+
 @dataclass(frozen=True)
 class RewardParams:
-    """Penalty weights of the three-branch irrigation reward.
+    """Penalty weights of the three-branch irrigation reward, and its kind.
 
     lambda1 scales over-capacity excess, mu1 water cost while over capacity,
     mu2 water cost in the healthy band, lambda3 the depth of a stress
-    violation, mu3 water cost while stressed.
+    violation, mu3 water cost while stressed.  kind "mad-only" is the
+    ablated reward (reward_mad_only).
     """
 
-    levels: SoilLevels
     lambda1: float = 3.0
     mu1: float = 8.0
     mu2: float = 3.0
     lambda3: float = 10.0
     mu3: float = 1.0
+    kind: str = "full"
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "mu1", "mu2", "lambda3", "mu3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.kind not in REWARD_KINDS:
+            raise ValueError(f"reward kind must be one of {REWARD_KINDS}")
 
 
-def reward(v_next: np.ndarray, a: np.ndarray, params: RewardParams) -> float:
+def reward(v_next: np.ndarray, a: np.ndarray, levels: SoilLevels,
+           params: RewardParams) -> float:
     """Negative sum of per-region penalties.
 
     Per region: above field capacity the penalty is
@@ -64,87 +78,83 @@ def reward(v_next: np.ndarray, a: np.ndarray, params: RewardParams) -> float:
     mu2*a; below the stress threshold it is lambda3*(v_mad - v) + mu3*a.
     Both boundaries belong to the in-band branch.
     """
-    lv = params.levels
     total = 0.0
     for v_i, a_i in zip(np.atleast_1d(v_next), np.atleast_1d(a)):
-        if v_i > lv.v_fc:
-            total += params.lambda1 * (v_i - lv.v_fc) + params.mu1 * a_i
-        elif v_i >= lv.v_mad:
+        if v_i > levels.v_fc:
+            total += params.lambda1 * (v_i - levels.v_fc) + params.mu1 * a_i
+        elif v_i >= levels.v_mad:
             total += params.mu2 * a_i
         else:
-            total += params.lambda3 * (lv.v_mad - v_i) + params.mu3 * a_i
+            total += params.lambda3 * (levels.v_mad - v_i) + params.mu3 * a_i
     return -total
 
 
-def reward_mad_only(v_next: np.ndarray, a: np.ndarray, params: RewardParams) -> float:
+def reward_mad_only(v_next: np.ndarray, a: np.ndarray, levels: SoilLevels,
+                    params: RewardParams) -> float:
     """Ablated reward: only the stress branch penalizes; over-irrigation and
     in-band water use are free."""
-    lv = params.levels
     total = 0.0
     for v_i, a_i in zip(np.atleast_1d(v_next), np.atleast_1d(a)):
-        if v_i < lv.v_mad:
-            total += params.lambda3 * (lv.v_mad - v_i) + params.mu3 * a_i
+        if v_i < levels.v_mad:
+            total += params.lambda3 * (levels.v_mad - v_i) + params.mu3 * a_i
     return -total
 
 
-REWARD_KINDS = ("full", "mad-only")
-
-
-def _batch_reward(v_next: np.ndarray, a: np.ndarray, params: RewardParams,
-                  kind: str) -> np.ndarray:
+def _batch_reward(v_next: np.ndarray, a: np.ndarray, levels: SoilLevels,
+                  params: RewardParams) -> np.ndarray:
     """reward (or reward_mad_only) of each row of (E, n) arrays, as (E,)."""
-    lv = params.levels
-    stress = params.lambda3 * (lv.v_mad - v_next) + params.mu3 * a
-    if kind == "mad-only":
-        penalty = np.where(v_next < lv.v_mad, stress, 0.0)
+    stress = params.lambda3 * (levels.v_mad - v_next) + params.mu3 * a
+    if params.kind == "mad-only":
+        penalty = np.where(v_next < levels.v_mad, stress, 0.0)
     else:
         penalty = np.where(
-            v_next > lv.v_fc,
-            params.lambda1 * (v_next - lv.v_fc) + params.mu1 * a,
-            np.where(v_next >= lv.v_mad, params.mu2 * a, stress))
+            v_next > levels.v_fc,
+            params.lambda1 * (v_next - levels.v_fc) + params.mu1 * a,
+            np.where(v_next >= levels.v_mad, params.mu2 * a, stress))
     return -penalty.sum(axis=-1)
 
 
 @dataclass(frozen=True)
-class EnvConfig:
-    """Static description of the simulated orchard and its control problem."""
+class PlantParams:
+    """How the simulated plant applies and perturbs water: the daily
+    irrigation ceiling (30 minutes of valve time), the std of the Gaussian
+    process noise, and the saturation cap's headroom above field capacity."""
 
-    profile: SoilProfile
-    dynamics: tuple[PredictorModel, ...]
-    reward_params: RewardParams
-    n_regions: int = 2
-    irrigation_rate: float = 0.018      # inches per minute of valve time
-    a_max: float = 0.54                 # 30 minutes of valve time per day
-    episode_length: int = 30
+    a_max: float = 0.54
     process_noise_std: float = 0.01
-    surplus_headroom: float = 1.0       # saturation cap above field capacity
-    reward_kind: str = "full"
+    surplus_headroom: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_regions < 1:
-            raise ValueError("n_regions must be >= 1")
-        if self.irrigation_rate <= 0 or self.a_max <= 0:
-            raise ValueError("irrigation_rate and a_max must be positive")
-        if self.episode_length < 1:
-            raise ValueError("episode_length must be >= 1")
-        if len(self.dynamics) != self.n_regions:
-            raise ValueError("need one dynamics model per region")
+        if self.a_max <= 0:
+            raise ValueError("a_max must be positive")
         if self.process_noise_std < 0 or self.surplus_headroom < 0:
             raise ValueError("noise and headroom must be nonnegative")
-        if self.reward_kind not in REWARD_KINDS:
-            raise ValueError(f"reward_kind must be one of {REWARD_KINDS}")
 
-    @property
-    def levels(self) -> SoilLevels:
-        return self.reward_params.levels
+
+@dataclass(frozen=True)
+class EnvConfig:
+    """Static description of the simulated orchard and its control problem:
+    one dynamics model per region."""
+
+    levels: SoilLevels
+    dynamics: tuple[PredictorModel, ...]
+    episode_length: int
+    reward: RewardParams
+    plant: PlantParams
+
+    def __post_init__(self) -> None:
+        if not self.dynamics:
+            raise ValueError("need at least one region's dynamics")
+        if self.episode_length < 1:
+            raise ValueError("episode_length must be >= 1")
 
     @property
     def saturation_cap(self) -> float:
-        return self.levels.v_fc + self.surplus_headroom
+        return self.levels.v_fc + self.plant.surplus_headroom
 
     @property
     def obs_dim(self) -> int:
-        return self.n_regions + N_WEATHER_CHANNELS + N_FORECAST_CHANNELS + N_MONTHS
+        return len(self.dynamics) + N_WEATHER_CHANNELS + N_FORECAST_CHANNELS + N_MONTHS
 
 
 # Calibrated per-region water-balance dynamics of the default two-region
@@ -157,25 +167,10 @@ DEFAULT_REGION_DYNAMICS = (
 )
 
 
-def default_env_config(n_regions: int = 2, **overrides) -> EnvConfig:
-    """Two-region orchard with physically calibrated per-region dynamics."""
-    dynamics = tuple(DEFAULT_REGION_DYNAMICS[i % len(DEFAULT_REGION_DYNAMICS)]
-                     for i in range(n_regions))
-    profile = overrides.pop("profile", testbed_profile())
-    reward_params = overrides.pop("reward_params", RewardParams(levels=derive_levels(profile)))
-    overrides.setdefault("dynamics", dynamics)
-    return EnvConfig(profile=profile, reward_params=reward_params,
-                     n_regions=n_regions, **overrides)
-
-
-def action_to_duration(a: np.ndarray, rate: float) -> np.ndarray:
-    """Valve-open minutes per region for an irrigation depth vector."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("irrigation depths must be nonnegative")
-    return a / rate
+def default_dynamics(n_regions: int) -> tuple[PredictorModel, ...]:
+    """The default region models repeated up to n_regions."""
+    return tuple(DEFAULT_REGION_DYNAMICS[i % len(DEFAULT_REGION_DYNAMICS)]
+                 for i in range(n_regions))
 
 
 @dataclass(frozen=True)
@@ -283,21 +278,16 @@ def normalize(state: EnvState, stats: NormalizationStats) -> np.ndarray:
     return stats.apply(state_vector(state))
 
 
-def denormalize(vec: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Exact affine inverse of normalize, back to the raw state vector."""
-    return stats.invert(vec)
-
-
 class IrrigationEnv:
     """Single-owner mutable environment over an immutable weather sequence.
 
-    With random_start=True each reset picks a fresh episode window inside
-    the weather record (training); with random_start=False episodes always
-    begin at the first record (paired evaluation).
+    Each reset picks its episode window uniformly among the starts the
+    weather record allows; a record of exactly episode_length + 1 days
+    leaves only the first.
     """
 
     def __init__(self, config: EnvConfig, weather: Sequence[WeatherDay],
-                 seed: int | None = None, random_start: bool = True):
+                 seed: int | None = None):
         if len(weather) < config.episode_length + 1:
             raise ValueError(
                 f"need at least episode_length + 1 = {config.episode_length + 1} "
@@ -306,7 +296,6 @@ class IrrigationEnv:
             )
         self.config = config
         self.weather = list(weather)
-        self.random_start = random_start
         self._rng = np.random.default_rng(seed)
         self._state: EnvState | None = None
         self._start = 0
@@ -322,9 +311,9 @@ class IrrigationEnv:
             self._rng = np.random.default_rng(seed)
         cfg = self.config
         max_start = len(self.weather) - cfg.episode_length - 1
-        self._start = int(self._rng.integers(0, max_start + 1)) if self.random_start else 0
+        self._start = int(self._rng.integers(0, max_start + 1))
         lv = cfg.levels
-        v0 = self._rng.uniform(lv.v_mad, lv.v_fc, size=cfg.n_regions)
+        v0 = self._rng.uniform(lv.v_mad, lv.v_fc, size=len(cfg.dynamics))
         w = self.weather[self._start]
         self._state = EnvState(v=v0, weather_today=w, month=w.date.month,
                                day_in_episode=0)
@@ -334,30 +323,31 @@ class IrrigationEnv:
         """Advance one day under the given irrigation depths."""
         if self._state is None:
             raise RuntimeError("reset() must be called before step()")
-        cfg = self.config
+        cfg, plant = self.config, self.config.plant
+        n = len(cfg.dynamics)
         state = self._state
         if state.day_in_episode >= cfg.episode_length:
             raise RuntimeError("episode exhausted; call reset()")
         a = np.asarray(action, dtype=float).reshape(-1)
-        if a.shape != (cfg.n_regions,):
-            raise ValueError(f"action must have shape ({cfg.n_regions},)")
-        if np.any(a < -1e-9) or np.any(a > cfg.a_max + 1e-9):
-            raise ValueError(f"action outside [0, {cfg.a_max}]")
-        a = np.clip(a, 0.0, cfg.a_max)
+        if a.shape != (n,):
+            raise ValueError(f"action must have shape ({n},)")
+        if np.any(a < -1e-9) or np.any(a > plant.a_max + 1e-9):
+            raise ValueError(f"action outside [0, {plant.a_max}]")
+        a = np.clip(a, 0.0, plant.a_max)
 
         w_next = self.weather[self._start + state.day_in_episode + 1]
         cap = cfg.saturation_cap
-        v_next = np.empty(cfg.n_regions)
-        for i in range(cfg.n_regions):
+        v_next = np.empty(n)
+        for i in range(n):
             v_next[i] = predict_next(cfg.dynamics[i], state.v[i], a[i],
                                      w_next.precip, w_next.et, cap=cap)
-        if cfg.process_noise_std > 0:
-            v_next = v_next + self._rng.normal(0.0, cfg.process_noise_std,
-                                               size=cfg.n_regions)
+        if plant.process_noise_std > 0:
+            v_next = v_next + self._rng.normal(0.0, plant.process_noise_std,
+                                               size=n)
             v_next = np.clip(v_next, 0.0, cap)
 
-        reward_fn = reward_mad_only if cfg.reward_kind == "mad-only" else reward
-        r = reward_fn(v_next, a, cfg.reward_params)
+        reward_fn = reward_mad_only if cfg.reward.kind == "mad-only" else reward
+        r = reward_fn(v_next, a, cfg.levels, cfg.reward)
         next_state = EnvState(v=v_next, weather_today=w_next,
                               month=w_next.date.month,
                               day_in_episode=state.day_in_episode + 1)
@@ -377,14 +367,12 @@ class VecIrrigationEnv:
     the same soil water.  Observations are the rows of state_vector.
     """
 
-    def __init__(self, config: EnvConfig, weather: Sequence[WeatherDay],
-                 random_start: bool = True):
+    def __init__(self, config: EnvConfig, weather: Sequence[WeatherDay]):
         if len(weather) < config.episode_length + 1:
             raise ValueError(
                 f"need at least episode_length + 1 = {config.episode_length + 1} "
                 f"weather records, got {len(weather)}")
         self.config = config
-        self.random_start = random_start
         self._coef = coefficient_table(config.dynamics)
         months = np.array([w.date.month for w in weather])
         # state_vector's weather and calendar block for every record
@@ -404,7 +392,8 @@ class VecIrrigationEnv:
         """Start one episode per seed; returns the (E, obs_dim) raw
         observations of the first day."""
         cfg = self.config
-        n, L = cfg.n_regions, cfg.episode_length
+        n, L = len(cfg.dynamics), cfg.episode_length
+        noise_std = cfg.plant.process_noise_std
         max_start = len(self._weather_obs) - L - 1
         lv = cfg.levels
         E = len(seeds)
@@ -413,19 +402,17 @@ class VecIrrigationEnv:
         self._noise = np.zeros((L, E, n))
         for e, seed in enumerate(seeds):
             rng = np.random.default_rng(int(seed))
-            if self.random_start:
-                self._starts[e] = rng.integers(0, max_start + 1)
+            self._starts[e] = rng.integers(0, max_start + 1)
             self.v[e] = rng.uniform(lv.v_mad, lv.v_fc, size=n)
-            if cfg.process_noise_std > 0:
-                self._noise[:, e] = rng.normal(0.0, cfg.process_noise_std,
-                                               size=(L, n))
+            if noise_std > 0:
+                self._noise[:, e] = rng.normal(0.0, noise_std, size=(L, n))
         self._day = 0
         return self._observations()
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance every episode one day; returns the next (E, obs_dim) raw
         observations and the (E,) rewards."""
-        cfg = self.config
+        cfg, plant = self.config, self.config.plant
         if self.v is None:
             raise RuntimeError("reset() must be called before step()")
         if self._day >= cfg.episode_length:
@@ -433,20 +420,20 @@ class VecIrrigationEnv:
         a = np.asarray(actions, dtype=float)
         if a.shape != self.v.shape:
             raise ValueError(f"actions must have shape {self.v.shape}")
-        if np.any(a < -1e-9) or np.any(a > cfg.a_max + 1e-9):
-            raise ValueError(f"action outside [0, {cfg.a_max}]")
-        a = np.clip(a, 0.0, cfg.a_max)
+        if np.any(a < -1e-9) or np.any(a > plant.a_max + 1e-9):
+            raise ValueError(f"action outside [0, {plant.a_max}]")
+        a = np.clip(a, 0.0, plant.a_max)
 
         nxt = self._starts + self._day + 1
         cap = cfg.saturation_cap
         v_next = predict_next_array(self._coef, self.v, a, self._precip[nxt, None],
                                     self._et[nxt, None], cap=cap)
-        if cfg.process_noise_std > 0:
+        if plant.process_noise_std > 0:
             v_next = np.clip(v_next + self._noise[self._day], 0.0, cap)
         self.v = v_next
         self._day += 1
-        return self._observations(), _batch_reward(v_next, a, cfg.reward_params,
-                                                   cfg.reward_kind)
+        return self._observations(), _batch_reward(v_next, a, cfg.levels,
+                                                   cfg.reward)
 
     def _observations(self) -> np.ndarray:
         return np.hstack([self.v, self._weather_obs[self._starts + self._day]])

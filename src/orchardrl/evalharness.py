@@ -26,7 +26,7 @@ from .controllers import (
     SensorController,
     ShieldedController,
 )
-from .env import IrrigationEnv
+from .env import IrrigationEnv, VecIrrigationEnv
 from .hydrology import SoilLevels
 from .runconfig import (
     RunConfig,
@@ -107,21 +107,23 @@ def run_season(run: RunConfig, controller, name: str | None = None,
                days: int | None = None) -> ControllerResult:
     """Step one controller through a full season.
 
+    The season is the first days + 1 records of weather (the run's season
+    weather by default), so the episode always starts on its first day.
     The environment resets with the run's seed, so repeated calls (and other
     controllers given the same weather) see identical initial conditions and
     noise streams.
     """
     n_days = days or run.days
     season = weather if weather is not None else build_season_weather(run, days=n_days)
-    env_cfg = build_env_config(run, episode_length=n_days)
-    env = IrrigationEnv(env_cfg, season, random_start=False)
+    env = IrrigationEnv(build_env_config(run, episode_length=n_days),
+                        season[:n_days + 1])
     state = env.reset(seed=run.seed)
 
     initial_v = state.v.copy()
     dates: list[dt.date] = []
     water = np.zeros(n_days)
-    actions = np.zeros((n_days, env_cfg.n_regions))
-    soil = np.zeros((n_days, env_cfg.n_regions))
+    actions = np.zeros((n_days, run.n_regions))
+    soil = np.zeros((n_days, run.n_regions))
     sources: list[str] = []
     deficits = np.full(n_days, np.nan)
     triggered = np.zeros(n_days, dtype=bool)
@@ -164,13 +166,13 @@ def run_roster(run: RunConfig, controllers: dict[str, object],
 
 
 def build_shield_config(run: RunConfig, enabled: bool | None = None) -> ShieldConfig:
-    levels = build_levels(run)
+    env_cfg = build_env_config(run)
     return ShieldConfig(
         model=build_shield_models(run),
-        v_mad=levels.v_mad,
+        v_mad=env_cfg.levels.v_mad,
         detector_threshold=run.shield.detector_threshold,
         enabled=run.shield.enabled if enabled is None else enabled,
-        cap=levels.v_fc + run.env.surplus_headroom,
+        cap=env_cfg.saturation_cap,
         a_max=run.env.a_max,
     )
 
@@ -182,7 +184,8 @@ def build_controller(run: RunConfig, name: str,
     rl and rl-mad wrap the policy in the shield (per the run's shield
     settings); rl-noshield wraps it in a disabled shield so counterfactual
     deficits still log.  rl-mad expects a policy trained under the ablated
-    reward; the caller supplies the right snapshot.
+    reward (a run whose reward.kind is "mad-only"); the caller supplies the
+    right snapshot.
     """
     et = EtController(run.n_regions, run.env.a_max)
     if name == "et":
@@ -207,17 +210,14 @@ def build_controller(run: RunConfig, name: str,
     raise ValueError(f"unknown controller '{name}' (choices: {ROSTER_NAMES + ('zero',)})")
 
 
-def train_policy_for_run(run: RunConfig, reward_kind: str | None = None
+def train_policy_for_run(run: RunConfig
                          ) -> tuple[SquashedGaussianPolicy, list[CurvePoint]]:
-    """Run the training loop against this configuration's environments."""
-    corpus = build_training_weather(run)
-    env_cfg = build_env_config(run, episode_length=run.trainer.episode_length,
-                               reward_kind=reward_kind)
-
-    def factory() -> IrrigationEnv:
-        return IrrigationEnv(env_cfg, corpus, random_start=True)
-
-    policy, curve = train(run.trainer, factory, seed=run.seed)
+    """Train on the run's reward, with episodes of trainer.episode_length
+    days drawn from the run's training weather."""
+    env = VecIrrigationEnv(
+        build_env_config(run, episode_length=run.trainer.episode_length),
+        build_training_weather(run))
+    policy, curve = train(run.trainer, env, seed=run.seed)
     policy.config_hash = config_hash(run)
     return policy, curve
 

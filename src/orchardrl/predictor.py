@@ -110,20 +110,6 @@ def predict_next_array(coef: np.ndarray, v, irrigation, precip, et,
     return out
 
 
-def rollout(model: PredictorModel, v_0: float,
-            plan: list[tuple[float, float, float]],
-            cap: float | None = None) -> list[float]:
-    """Iterate predict_next over a plan of (irrigation, precip, et) triples."""
-    if not plan:
-        raise ValueError("plan must be non-empty")
-    out: list[float] = []
-    v = v_0
-    for a, p, e in plan:
-        v = predict_next(model, v, a, p, e, cap=cap)
-        out.append(v)
-    return out
-
-
 def diagnostics(model: PredictorModel,
                 rows: list[ObservationRow]) -> tuple[float, float]:
     """Goodness of fit on a set of observation rows.

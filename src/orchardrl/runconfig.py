@@ -21,13 +21,16 @@ path)``; an unknown key raises ValueError naming its section):
                     root_depth_inches, sensor_depth_spans, mad_fraction}
     dynamics        [{c1, c2, c3, b}, ...] per-region ground-truth models
     reward          {lambda1, mu1, mu2, lambda3, mu3, kind}
-    env             {irrigation_rate, a_max, episode_length,
-                    process_noise_std, surplus_headroom}
+                    penalty weights and variant (env.RewardParams)
+    env             {a_max, process_noise_std, surplus_headroom}
+                    the simulated plant (env.PlantParams)
     trainer         {learning_rate, gamma, clip_epsilon, minibatch_size,
                     max_iterations, episodes_per_iteration,
                     episode_length, convergence_band, convergence_window,
                     convergence_patience, epochs, hidden, init_log_std,
                     warmup_episodes}
+                    episode_length is that of training episodes; a
+                    season's episode lasts its days
     shield          {enabled, detector_threshold,
                     model: "env" | [{c1, c2, c3, b}, ...]}
     sensor          {lower_threshold, upper_threshold} of the sensor baseline
@@ -57,8 +60,9 @@ from .controllers import SensorControllerConfig
 from .env import (
     DEFAULT_REGION_DYNAMICS,
     EnvConfig,
+    PlantParams,
     RewardParams,
-    REWARD_KINDS,
+    default_dynamics,
 )
 from .hydrology import SoilProfile, derive_levels, testbed_profile
 from .predictor import PredictorModel
@@ -73,29 +77,6 @@ from .weather import (
 )
 
 FORECAST_PRESETS = ("default", "exact")
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    lambda1: float = 3.0
-    mu1: float = 8.0
-    mu2: float = 3.0
-    lambda3: float = 10.0
-    mu3: float = 1.0
-    kind: str = "full"
-
-    def __post_init__(self) -> None:
-        if self.kind not in REWARD_KINDS:
-            raise ValueError(f"reward kind must be one of {REWARD_KINDS}")
-
-
-@dataclass(frozen=True)
-class EnvSettings:
-    irrigation_rate: float = 0.018
-    a_max: float = 0.54
-    episode_length: int = 30
-    process_noise_std: float = 0.01
-    surplus_headroom: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -118,8 +99,8 @@ class RunConfig:
     climate: ClimateParams = field(default_factory=ClimateParams)
     profile: SoilProfile = field(default_factory=testbed_profile)
     dynamics: tuple[PredictorModel, ...] = DEFAULT_REGION_DYNAMICS
-    reward: RewardWeights = field(default_factory=RewardWeights)
-    env: EnvSettings = field(default_factory=EnvSettings)
+    reward: RewardParams = field(default_factory=RewardParams)
+    env: PlantParams = field(default_factory=PlantParams)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     shield: ShieldSettings = field(default_factory=ShieldSettings)
     sensor: SensorControllerConfig = field(default_factory=SensorControllerConfig)
@@ -141,21 +122,6 @@ def default_run_config(**overrides) -> RunConfig:
     return cfg
 
 
-def field15_run_config(**overrides) -> RunConfig:
-    """Short two-week trial preset mirroring a mid-season deployment window.
-
-    Fifteen days starting July 1st, everything else at defaults.  Savings
-    percentages over a window this short swing with the weather draw, so
-    treat them as reference points rather than targets.
-    """
-    cfg = default_run_config(days=15)
-    cfg = replace(cfg, climate=replace(cfg.climate,
-                                       start=dt.date(cfg.climate.start.year, 7, 1)))
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
-
-
 # -- builders: turn the declarative config into live objects ----------------
 
 
@@ -163,26 +129,17 @@ def build_levels(run: RunConfig):
     return derive_levels(run.profile)
 
 
-def build_reward_params(run: RunConfig) -> RewardParams:
-    w = run.reward
-    return RewardParams(levels=build_levels(run), lambda1=w.lambda1, mu1=w.mu1,
-                        mu2=w.mu2, lambda3=w.lambda3, mu3=w.mu3)
+def build_env_config(run: RunConfig, episode_length: int | None = None) -> EnvConfig:
+    """The run's simulated orchard with episodes of episode_length days
+    (default: the season's)."""
+    return EnvConfig(levels=build_levels(run), dynamics=run.dynamics,
+                     episode_length=episode_length or run.days,
+                     reward=run.reward, plant=run.env)
 
 
-def build_env_config(run: RunConfig, episode_length: int | None = None,
-                     reward_kind: str | None = None) -> EnvConfig:
-    return EnvConfig(
-        profile=run.profile,
-        dynamics=run.dynamics,
-        reward_params=build_reward_params(run),
-        n_regions=run.n_regions,
-        irrigation_rate=run.env.irrigation_rate,
-        a_max=run.env.a_max,
-        episode_length=episode_length or run.env.episode_length,
-        process_noise_std=run.env.process_noise_std,
-        surplus_headroom=run.env.surplus_headroom,
-        reward_kind=reward_kind or run.reward.kind,
-    )
+def with_reward_kind(run: RunConfig, kind: str) -> RunConfig:
+    """The run with its reward switched to kind ("full" or "mad-only")."""
+    return replace(run, reward=replace(run.reward, kind=kind))
 
 
 def measurement_run(run: RunConfig) -> RunConfig:
@@ -309,10 +266,8 @@ def from_json_dict(doc: dict) -> RunConfig:
     dynamics repeat the default region models up to n_regions."""
     kwargs = _decode_fields(RunConfig, doc, "", RunConfig())
     if "dynamics" not in kwargs:
-        n_regions = kwargs.get("n_regions", RunConfig.n_regions)
-        kwargs["dynamics"] = tuple(
-            DEFAULT_REGION_DYNAMICS[i % len(DEFAULT_REGION_DYNAMICS)]
-            for i in range(n_regions))
+        kwargs["dynamics"] = default_dynamics(
+            kwargs.get("n_regions", RunConfig.n_regions))
     return RunConfig(**kwargs)
 
 

@@ -30,10 +30,6 @@ def fahrenheit_to_celsius(t_f: float) -> float:
     return (t_f - 32.0) * 5.0 / 9.0
 
 
-def celsius_to_fahrenheit(t_c: float) -> float:
-    return t_c * 9.0 / 5.0 + 32.0
-
-
 @dataclass(frozen=True)
 class WeatherDay:
     """One completed day of weather plus next-day forecast channels."""

@@ -58,7 +58,8 @@ def trained_full(default_run):
 
 @pytest.fixture(scope="session")
 def trained_mad(default_run):
-    policy, curve = train_policy_for_run(default_run, reward_kind="mad-only")
+    policy, curve = train_policy_for_run(
+        runconfig.with_reward_kind(default_run, "mad-only"))
     return policy, curve
 
 
@@ -221,10 +222,10 @@ def test_baseline_behaviors(default_run, levels):
     cycles = len(events) >= 2 and all(b - a >= 4
                                       for a, b in zip(events, events[1:]))
 
-    params = RewardParams(levels=levels)
-    r_vals = (reward(np.array([7.5]), np.array([0.3]), params),
-              reward(np.array([5.5]), np.array([0.2]), params),
-              reward(np.array([4.5]), np.array([0.3]), params))
+    params = RewardParams()
+    r_vals = (reward(np.array([7.5]), np.array([0.3]), levels, params),
+              reward(np.array([5.5]), np.array([0.2]), levels, params),
+              reward(np.array([4.5]), np.array([0.3]), levels, params))
     rewards_ok = (r_vals[0] == pytest.approx(-3.63, abs=1e-6)
                   and r_vals[1] == pytest.approx(-0.6, abs=1e-6)
                   and r_vals[2] == pytest.approx(-2.56, abs=1e-6))

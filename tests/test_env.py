@@ -15,9 +15,6 @@ from orchardrl.env import (
     NormalizationStats,
     RewardParams,
     VecIrrigationEnv,
-    action_to_duration,
-    default_env_config,
-    denormalize,
     normalize,
     reward,
     reward_mad_only,
@@ -28,8 +25,10 @@ from orchardrl.hydrology import testbed_profile as orchard_profile
 from orchardrl.predictor import TREE1_MODEL, predict_next
 from orchardrl.weather import WeatherDay, synthesize_season
 
+from conftest import default_env_config
+
 LEVELS = SoilLevels(v_pwp=2.362, v_awc=4.728, v_mad=4.726, v_fc=7.09)
-PARAMS = RewardParams(levels=LEVELS)
+PARAMS = RewardParams()
 
 
 def flat_season(n, et=0.15, precip=0.0, start=dt.date(2020, 3, 1)):
@@ -51,37 +50,38 @@ def flat_season(n, et=0.15, precip=0.0, start=dt.date(2020, 3, 1)):
 
 class TestReward:
     def test_over_capacity_branch(self):
-        assert reward(np.array([7.5]), np.array([0.3]), PARAMS) \
+        assert reward(np.array([7.5]), np.array([0.3]), LEVELS, PARAMS) \
             == pytest.approx(-3.63, abs=1e-9)
 
     def test_in_band_branch(self):
-        assert reward(np.array([5.5]), np.array([0.2]), PARAMS) \
+        assert reward(np.array([5.5]), np.array([0.2]), LEVELS, PARAMS) \
             == pytest.approx(-0.6, abs=1e-9)
 
     def test_deficit_branch(self):
-        assert reward(np.array([4.5]), np.array([0.3]), PARAMS) \
+        assert reward(np.array([4.5]), np.array([0.3]), LEVELS, PARAMS) \
             == pytest.approx(-2.56, abs=1e-9)
 
     def test_boundaries_belong_to_band(self):
-        at_fc = reward(np.array([LEVELS.v_fc]), np.array([0.2]), PARAMS)
-        at_mad = reward(np.array([LEVELS.v_mad]), np.array([0.2]), PARAMS)
+        at_fc = reward(np.array([LEVELS.v_fc]), np.array([0.2]), LEVELS, PARAMS)
+        at_mad = reward(np.array([LEVELS.v_mad]), np.array([0.2]), LEVELS, PARAMS)
         assert at_fc == pytest.approx(-PARAMS.mu2 * 0.2, abs=1e-12)
         assert at_mad == pytest.approx(-PARAMS.mu2 * 0.2, abs=1e-12)
 
     def test_regions_sum(self):
-        combined = reward(np.array([7.5, 4.5]), np.array([0.3, 0.3]), PARAMS)
+        combined = reward(np.array([7.5, 4.5]), np.array([0.3, 0.3]), LEVELS, PARAMS)
         assert combined == pytest.approx(-3.63 - 2.56, abs=1e-9)
 
     def test_deficit_penalty_steeper_than_surplus(self):
         delta = 0.4
-        surplus = reward(np.array([LEVELS.v_fc + delta]), np.array([0.0]), PARAMS)
-        deficit = reward(np.array([LEVELS.v_mad - delta]), np.array([0.0]), PARAMS)
+        none = np.array([0.0])
+        surplus = reward(np.array([LEVELS.v_fc + delta]), none, LEVELS, PARAMS)
+        deficit = reward(np.array([LEVELS.v_mad - delta]), none, LEVELS, PARAMS)
         assert deficit < surplus < 0.0
 
     @given(v=st.floats(min_value=0.0, max_value=9.0),
            a=st.floats(min_value=0.0, max_value=0.54))
     def test_branch_partition(self, v, a):
-        got = reward(np.array([v]), np.array([a]), PARAMS)
+        got = reward(np.array([v]), np.array([a]), LEVELS, PARAMS)
         if v > LEVELS.v_fc:
             expect = -(PARAMS.lambda1 * (v - LEVELS.v_fc) + PARAMS.mu1 * a)
         elif v >= LEVELS.v_mad:
@@ -96,8 +96,8 @@ class TestReward:
            a2=st.floats(min_value=0.0, max_value=0.54))
     def test_in_band_decreasing_in_water(self, v, a1, a2):
         lo, hi = sorted((a1, a2))
-        r_lo = reward(np.array([v]), np.array([lo]), PARAMS)
-        r_hi = reward(np.array([v]), np.array([hi]), PARAMS)
+        r_lo = reward(np.array([v]), np.array([lo]), LEVELS, PARAMS)
+        r_hi = reward(np.array([v]), np.array([hi]), LEVELS, PARAMS)
         assert r_lo >= r_hi
         if hi > lo:
             assert r_lo > r_hi
@@ -106,52 +106,31 @@ class TestReward:
            v2=st.floats(min_value=0.5, max_value=4.7))
     def test_deficit_increasing_in_moisture(self, v1, v2):
         lo, hi = sorted((v1, v2))
-        r_lo = reward(np.array([lo]), np.array([0.1]), PARAMS)
-        r_hi = reward(np.array([hi]), np.array([0.1]), PARAMS)
+        r_lo = reward(np.array([lo]), np.array([0.1]), LEVELS, PARAMS)
+        r_hi = reward(np.array([hi]), np.array([0.1]), LEVELS, PARAMS)
         assert r_hi >= r_lo
 
     @given(v=st.floats(min_value=4.726, max_value=7.09))
     def test_in_band_argmax_is_zero_action(self, v):
-        best = reward(np.array([v]), np.array([0.0]), PARAMS)
+        best = reward(np.array([v]), np.array([0.0]), LEVELS, PARAMS)
         for a in (0.1, 0.3, 0.54):
-            assert best >= reward(np.array([v]), np.array([a]), PARAMS)
+            assert best >= reward(np.array([v]), np.array([a]), LEVELS, PARAMS)
 
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            RewardParams(levels=LEVELS, lambda1=-1.0)
+            RewardParams(lambda1=-1.0)
 
 
 class TestRewardMadOnly:
     def test_matches_full_reward_deficit_branch(self):
-        assert reward_mad_only(np.array([4.5]), np.array([0.3]), PARAMS) \
+        assert reward_mad_only(np.array([4.5]), np.array([0.3]), LEVELS, PARAMS) \
             == pytest.approx(-2.56, abs=1e-9)
 
     def test_in_band_is_free(self):
-        assert reward_mad_only(np.array([5.5]), np.array([0.54]), PARAMS) == 0.0
+        assert reward_mad_only(np.array([5.5]), np.array([0.54]), LEVELS, PARAMS) == 0.0
 
     def test_over_irrigation_is_free(self):
-        assert reward_mad_only(np.array([8.0]), np.array([1.0]), PARAMS) == 0.0
-
-
-class TestActionToDuration:
-    def test_ten_minutes(self):
-        assert action_to_duration(np.array([0.18]), 0.018) \
-            == pytest.approx([10.0], abs=1e-9)
-
-    def test_zero(self):
-        assert action_to_duration(np.array([0.0]), 0.018) == pytest.approx([0.0])
-
-    def test_ceiling(self):
-        assert action_to_duration(np.array([0.54]), 0.018) \
-            == pytest.approx([30.0], abs=1e-9)
-
-    def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            action_to_duration(np.array([0.1]), 0.0)
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
-            action_to_duration(np.array([-0.1]), 0.018)
+        assert reward_mad_only(np.array([8.0]), np.array([1.0]), LEVELS, PARAMS) == 0.0
 
 
 class TestEnvConfig:
@@ -163,12 +142,14 @@ class TestEnvConfig:
         assert cfg.saturation_cap == pytest.approx(cfg.levels.v_fc + 1.0)
 
     def test_dynamics_count_enforced(self):
-        with pytest.raises(ValueError):
-            default_env_config(n_regions=3, dynamics=(TREE1_MODEL,))
+        # one region per dynamics model, and at least one region
+        assert default_env_config(dynamics=(TREE1_MODEL,) * 3).obs_dim == 3 + 24
+        with pytest.raises(ValueError, match="at least one region"):
+            default_env_config(dynamics=())
 
     def test_reward_kind_checked(self):
-        with pytest.raises(ValueError):
-            default_env_config(reward_kind="banana")
+        with pytest.raises(ValueError, match="reward kind"):
+            RewardParams(kind="banana")
 
 
 class TestReset:
@@ -219,8 +200,7 @@ def make_point_env(v0=5.0, et=0.15, precip=0.0, days=4, **overrides):
     cfg = default_env_config(
         n_regions=1, profile=profile, dynamics=(TREE1_MODEL,),
         process_noise_std=0.0, episode_length=days - 1, **overrides)
-    env = IrrigationEnv(cfg, flat_season(days, et=et, precip=precip),
-                        random_start=False)
+    env = IrrigationEnv(cfg, flat_season(days, et=et, precip=precip))
     env.reset(seed=0)
     return env
 
@@ -233,8 +213,7 @@ class TestStep:
 
     def test_zero_action_strictly_drains(self):
         cfg = default_env_config(process_noise_std=0.0)
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1, et=0.15),
-                            random_start=False)
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1, et=0.15))
         state = env.reset(seed=2)
         for _ in range(10):
             tr = env.step(np.zeros(2))
@@ -250,8 +229,7 @@ class TestStep:
 
     def test_process_noise_respects_bounds(self):
         cfg = default_env_config(process_noise_std=0.5)
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=3,
-                            random_start=False)
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=3)
         env.reset()
         for _ in range(cfg.episode_length):
             tr = env.step(np.array([0.54, 0.54]))
@@ -309,8 +287,7 @@ class TestStep:
         profile = orchard_profile()
         cfg = default_env_config(n_regions=1, dynamics=(wet,),
                                  process_noise_std=0.0, episode_length=8)
-        env = IrrigationEnv(cfg, flat_season(9, et=0.1, precip=1.4),
-                            random_start=False)
+        env = IrrigationEnv(cfg, flat_season(9, et=0.1, precip=1.4))
         env.reset(seed=1)
         for _ in range(8):
             tr = env.step(np.array([0.54]))
@@ -344,8 +321,7 @@ class TestStateVector:
 class TestNormalization:
     def sample_states(self, n=40):
         cfg = default_env_config()
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=4,
-                            random_start=False)
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=4)
         vecs = []
         state = env.reset()
         for _ in range(n):
@@ -402,12 +378,11 @@ class TestNormalization:
 
     def test_normalize_denormalize_helpers(self):
         cfg = default_env_config()
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=6,
-                            random_start=False)
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=6)
         state = env.reset()
         stats = NormalizationStats.identity(cfg.obs_dim - 12)
         vec = normalize(state, stats)
-        assert np.allclose(denormalize(vec, stats), state_vector(state))
+        assert np.allclose(stats.invert(vec), state_vector(state))
 
 
 class TestVecIrrigationEnv:
@@ -417,16 +392,15 @@ class TestVecIrrigationEnv:
         cfg = default_env_config(n_regions=n_regions, process_noise_std=0.05,
                                  reward_kind=reward_kind)
         weather = synthesize_season(4, 120)
-        return (IrrigationEnv(cfg, weather, random_start=True),
-                VecIrrigationEnv(cfg, weather, random_start=True))
+        return IrrigationEnv(cfg, weather), VecIrrigationEnv(cfg, weather)
 
     def fixed_actions(self, cfg, n_episodes):
         """Random doses, plus one episode flooded and one left dry so every
         reward branch is exercised."""
         rng = np.random.default_rng(8)
-        a = rng.uniform(0.0, cfg.a_max,
-                        size=(cfg.episode_length, n_episodes, cfg.n_regions))
-        a[:, 0] = cfg.a_max
+        a = rng.uniform(0.0, cfg.plant.a_max,
+                        size=(cfg.episode_length, n_episodes, len(cfg.dynamics)))
+        a[:, 0] = cfg.plant.a_max
         a[:, 1] = 0.0
         return a
 
@@ -455,12 +429,16 @@ class TestVecIrrigationEnv:
         assert np.any(soil > cfg.levels.v_fc) and np.any(soil < cfg.levels.v_mad)
 
     def test_fixed_start_episodes(self):
+        # a record of exactly episode_length + 1 days leaves one start
         cfg = default_env_config(process_noise_std=0.0)
-        weather = flat_season(cfg.episode_length + 5)
-        vec = VecIrrigationEnv(cfg, weather, random_start=False)
-        obs = vec.reset([1, 2])
-        env = IrrigationEnv(cfg, weather, random_start=False)
-        assert np.array_equal(obs[1], state_vector(env.reset(seed=2)))
+        n = cfg.episode_length + 1
+        weather = flat_season(n, et=np.linspace(0.1, 0.3, n))
+        obs = VecIrrigationEnv(cfg, weather).reset([1, 2])
+        env = IrrigationEnv(cfg, weather)
+        for e, seed in enumerate((1, 2)):
+            state = env.reset(seed=seed)
+            assert state.weather_today == weather[0]
+            assert np.array_equal(obs[e], state_vector(state))
 
     def test_action_checks(self):
         env, vec = self.scalar_and_vec("full", n_regions=2)
@@ -470,7 +448,7 @@ class TestVecIrrigationEnv:
         with pytest.raises(ValueError, match="shape"):
             vec.step(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="outside"):
-            vec.step(np.full((2, 2), env.config.a_max + 0.01))
+            vec.step(np.full((2, 2), env.config.plant.a_max + 0.01))
         with pytest.raises(ValueError, match="outside"):
             vec.step(np.full((2, 2), -0.1))
         for _ in range(env.config.episode_length):

@@ -33,7 +33,6 @@ from orchardrl.runconfig import (
     build_shield_models,
     config_hash,
     default_run_config,
-    field15_run_config,
 )
 from orchardrl.weather import WeatherDay
 
@@ -217,16 +216,6 @@ class TestBuildController:
         assert cfg.model == build_shield_models(run)
         forced_off = build_shield_config(run, enabled=False)
         assert not forced_off.enabled
-
-
-class TestField15Preset:
-    def test_two_week_mid_season_window(self):
-        run = field15_run_config(seed=9)
-        assert run.days == 15
-        assert (run.climate.start.month, run.climate.start.day) == (7, 1)
-        entry = run_season(run, build_controller(run, "et"))
-        assert entry.season_days == 15
-        assert entry.dates[0] == dt.date(run.climate.start.year, 7, 2)
 
 
 class TestResultFiles:

@@ -8,7 +8,6 @@ from orchardrl.agent.policy import (
     LOG_STD_MIN,
     SquashedGaussianPolicy,
     load_policy,
-    sample_action,
 )
 from orchardrl.env import NormalizationStats
 
@@ -89,8 +88,8 @@ class TestSampling:
     def test_same_seed_same_action(self):
         policy = small_policy(n_regions=2, seed=5)
         obs = np.random.default_rng(2).normal(size=OBS_DIM)
-        a1, logp1 = sample_action(policy, obs, seed=7)
-        a2, logp2 = sample_action(policy, obs, seed=7)
+        a1, _, logp1 = policy.sample(obs, np.random.default_rng(7))
+        a2, _, logp2 = policy.sample(obs, np.random.default_rng(7))
         assert np.array_equal(a1, a2) and logp1 == logp2
 
     def test_sample_internally_consistent(self):

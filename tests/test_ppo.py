@@ -19,9 +19,9 @@ from orchardrl.agent.ppo import (
     _collect_normalization_stats,
     _converged,
     _rollout,
+    _surrogate_terms,
     finite_difference_gradient,
     gradient_check,
-    importance_ratio,
     normalized_advantages,
     ppo_loss,
     ppo_loss_and_grads,
@@ -29,14 +29,11 @@ from orchardrl.agent.ppo import (
     train,
     write_training_curve,
 )
-from orchardrl.env import (
-    IrrigationEnv,
-    VecIrrigationEnv,
-    default_env_config,
-    state_vector,
-)
+from orchardrl.env import IrrigationEnv, VecIrrigationEnv, state_vector
 from orchardrl.predictor import PredictorModel
 from orchardrl.weather import WeatherDay
+
+from conftest import default_env_config
 
 OBS_DIM = 5
 
@@ -161,19 +158,22 @@ class TestRolloutBatch:
 
 
 class TestImportanceRatio:
+    """The surrogate's w = exp(log pi(a|s) - old_log_prob), with the action
+    identified by its stored pre-squash sample."""
+
+    @staticmethod
+    def ratio(policy, batch):
+        return _surrogate_terms(policy, batch, 0.3, np.ones(len(batch)))[3]
+
     def test_unchanged_policy_gives_one(self):
         policy = small_policy()
         batch = sampled_batch(policy, n=1)
-        w = importance_ratio(policy, batch.old_log_prob[0], batch.obs[0],
-                             batch.pre_squash[0])
-        assert w == pytest.approx(1.0, abs=1e-9)
+        assert self.ratio(policy, batch)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_log_two_offset_doubles(self):
         policy = small_policy()
-        batch = sampled_batch(policy, n=1)
-        w = importance_ratio(policy, batch.old_log_prob[0] - math.log(2.0),
-                             batch.obs[0], batch.pre_squash[0])
-        assert w == pytest.approx(2.0, rel=1e-9)
+        batch = sampled_batch(policy, n=1, logp_shift=[math.log(2.0)])
+        assert self.ratio(policy, batch)[0] == pytest.approx(2.0, rel=1e-9)
 
 
 class TestPpoLoss:
@@ -331,22 +331,18 @@ class TestTrainerConfig:
             TrainerConfig(**bad)
 
 
-def conserving_env_factory(et=0.0, episode_length=6):
-    """1-region env where moisture only moves by the irrigation applied.
+def conserving_season(et=0.0, episode_length=6):
+    """(config, weather) of a 1-region env where moisture only moves by the
+    irrigation applied.
 
     With zero evapotranspiration the in-band reward reduces to the pure
     water cost, so the optimal stationary action is zero.
     """
     model = PredictorModel(c1=1.0, c2=1.0, c3=0.0, b=0.0)
-
-    def factory():
-        cfg = default_env_config(n_regions=1, dynamics=(model,),
-                                 process_noise_std=0.0,
-                                 episode_length=episode_length)
-        return IrrigationEnv(cfg, flat_season(episode_length + 1, et=et),
-                             random_start=False)
-
-    return factory
+    cfg = default_env_config(n_regions=1, dynamics=(model,),
+                             process_noise_std=0.0,
+                             episode_length=episode_length)
+    return cfg, flat_season(episode_length + 1, et=et)
 
 
 class TestTrain:
@@ -356,10 +352,10 @@ class TestTrain:
                             max_iterations=150, convergence_window=10,
                             convergence_patience=3, warmup_episodes=4,
                             learning_rate=0.01)
-        policy, curve = train(cfg, conserving_env_factory(), seed=0)
+        policy, curve = train(cfg, VecIrrigationEnv(*conserving_season()), seed=0)
         assert len(curve) <= cfg.max_iterations
         assert curve[-1].total_reward > curve[0].total_reward
-        env = conserving_env_factory()()
+        env = IrrigationEnv(*conserving_season())
         for seed in (100, 101, 102):
             state = env.reset(seed=seed)
             obs = policy.norm_stats.apply(state_vector(state))
@@ -370,9 +366,9 @@ class TestTrain:
                             episode_length=4, minibatch_size=16,
                             max_iterations=3, convergence_window=2,
                             warmup_episodes=2)
-        factory = conserving_env_factory(et=0.1, episode_length=4)
-        pol_a, curve_a = train(cfg, factory, seed=7)
-        pol_b, curve_b = train(cfg, factory, seed=7)
+        env = VecIrrigationEnv(*conserving_season(et=0.1, episode_length=4))
+        pol_a, curve_a = train(cfg, env, seed=7)
+        pol_b, curve_b = train(cfg, env, seed=7)
         assert np.array_equal(pol_a.get_flat_params(), pol_b.get_flat_params())
         assert curve_a == curve_b
 
@@ -381,20 +377,19 @@ class TestTrain:
                             episode_length=4, minibatch_size=16,
                             max_iterations=2, convergence_window=2,
                             warmup_episodes=2)
-        factory = conserving_env_factory(et=0.1, episode_length=4)
-        pol_a, _ = train(cfg, factory, seed=7)
-        pol_b, _ = train(cfg, factory, seed=8)
+        env = VecIrrigationEnv(*conserving_season(et=0.1, episode_length=4))
+        pol_a, _ = train(cfg, env, seed=7)
+        pol_b, _ = train(cfg, env, seed=8)
         assert not np.array_equal(pol_a.get_flat_params(),
                                   pol_b.get_flat_params())
 
     def test_normalization_stats_leave_month_one_hot_raw(self):
-        env = conserving_env_factory(et=0.1, episode_length=4)()
-        vec = VecIrrigationEnv(env.config, env.weather, random_start=False)
+        vec = VecIrrigationEnv(*conserving_season(et=0.1, episode_length=4))
         cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=1,
                             episode_length=4, warmup_episodes=3)
         stats = _collect_normalization_stats(vec, cfg,
                                              np.random.default_rng(0))
-        assert len(stats.mean) == env.config.obs_dim - 12
+        assert len(stats.mean) == vec.config.obs_dim - 12
         assert np.all(stats.std > 0.0)
 
     def test_rollout_rows_are_grouped_by_episode(self):
@@ -404,7 +399,7 @@ class TestTrain:
         env_cfg = default_env_config(n_regions=1, dynamics=(model,),
                                      process_noise_std=0.0, episode_length=4,
                                      surplus_headroom=5.0)
-        vec = VecIrrigationEnv(env_cfg, flat_season(5), random_start=False)
+        vec = VecIrrigationEnv(env_cfg, flat_season(5))
         cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=3,
                             episode_length=4, warmup_episodes=2, gamma=1.0)
         rng = np.random.default_rng(0)

@@ -15,7 +15,6 @@ from orchardrl.predictor import (
     fit,
     load_observations_csv,
     predict_next,
-    rollout,
     write_observations_csv,
 )
 
@@ -93,28 +92,6 @@ class TestPredictNext:
         v_next = predict_next(conserving, v, a, p, e)
         if v_next > 0.0:
             assert v_next - v == pytest.approx((a + p) - e, abs=1e-9)
-
-
-class TestRollout:
-    def test_single_step(self):
-        assert rollout(TREE1_MODEL, 5.0, [(0.3, 0.0, 0.15)]) \
-            == [predict_next(TREE1_MODEL, 5.0, 0.3, 0.0, 0.15)]
-
-    def test_two_step_hand_values(self):
-        got = rollout(TREE1_MODEL, 5.0, [(0.3, 0.0, 0.15)] * 2)
-        assert got[0] == pytest.approx(4.93895, abs=1e-12)
-        assert got[1] == pytest.approx(4.87954835, abs=1e-7)
-
-    def test_identity_constant(self):
-        ident = PredictorModel(c1=1.0, c2=0.0, c3=0.0, b=0.0)
-        assert rollout(ident, 4.2, [(0.0, 0.0, 0.0)] * 5) == [4.2] * 5
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(ValueError):
-            rollout(TREE1_MODEL, 5.0, [])
-
-    def test_length_matches_plan(self):
-        assert len(rollout(TREE1_MODEL, 5.0, [(0.1, 0.0, 0.1)] * 7)) == 7
 
 
 class TestFit:

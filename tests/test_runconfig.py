@@ -52,6 +52,10 @@ class TestValidation:
             from_json_dict({"sensor": {"lower_threshold": 7.0,
                                        "upper_threshold": 6.0}})
 
+    def test_reward_weights_checked_at_load(self):
+        with pytest.raises(ValueError, match="lambda1 must be nonnegative"):
+            from_json_dict({"reward": {"lambda1": -1.0}})
+
 
 class TestJsonRoundTrip:
     def test_default_config(self):
@@ -115,6 +119,11 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=r"unknown trainer keys: "
                            r"\['episodes_per_worker', 'workers'\]"):
             from_json_dict({"trainer": {"workers": 2, "episodes_per_worker": 16}})
+        # env keys the simulator never read: seasons run for days and
+        # training episodes for trainer.episode_length
+        with pytest.raises(ValueError, match=r"unknown env keys: "
+                           r"\['episode_length', 'irrigation_rate'\]"):
+            from_json_dict({"env": {"episode_length": 3, "irrigation_rate": 99.0}})
 
     @pytest.mark.parametrize("section, doc", [
         ("climate", {"climate": {"rainfall": 1.0}}),
@@ -184,7 +193,7 @@ class TestBenchmarkDocuments:
         assert (run.reward, run.trainer, run.shield, run.sensor, run.climate) == (
             defaults.reward, defaults.trainer, defaults.shield, defaults.sensor,
             defaults.climate)
-        assert build_env_config(run).n_regions == n_regions
+        assert len(build_env_config(run).dynamics) == n_regions
 
 
 class TestConfigHash:

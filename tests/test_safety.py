@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orchardrl.controllers import ConstantController, EtController
-from orchardrl.env import EnvState, IrrigationEnv, default_env_config
+from orchardrl.env import EnvState, IrrigationEnv
 from orchardrl.predictor import (
     TREE1_MODEL,
     TREE2_MODEL,
@@ -17,6 +17,8 @@ from orchardrl.predictor import (
 )
 from orchardrl.safety import ShieldConfig, ShieldReport, predicted_deficit, screen
 from orchardrl.weather import WeatherDay
+
+from conftest import default_env_config
 
 V_MAD = 4.726
 
@@ -215,18 +217,18 @@ class TestSoundness:
         n = cfg.episode_length + 1
         weather = flat_season(n, et=[et_cycle[i % 5] for i in range(n)],
                               precip=[p_cycle[i % 5] for i in range(n)])
-        env = IrrigationEnv(cfg, weather, random_start=False)
+        env = IrrigationEnv(cfg, weather)
         shield = ShieldConfig(model=tuple(cfg.dynamics),
                               v_mad=cfg.levels.v_mad,
-                              cap=cfg.saturation_cap, a_max=cfg.a_max)
+                              cap=cfg.saturation_cap, a_max=cfg.plant.a_max)
         fallback = fallback_for(cfg)
         rng = np.random.default_rng(seed)
         state = env.reset(seed=seed)
         assert np.all(state.v >= cfg.levels.v_mad)
         for _ in range(cfg.episode_length):
-            proposal = rng.uniform(0.0, cfg.a_max, size=cfg.n_regions)
+            proposal = rng.uniform(0.0, cfg.plant.a_max, size=len(cfg.dynamics))
             action, _ = screen(shield, state, proposal, fallback)
-            assert np.all(action <= cfg.a_max)
+            assert np.all(action <= cfg.plant.a_max)
             state = env.step(action).next_state
             assert np.all(state.v >= cfg.levels.v_mad - 1e-9)
 
@@ -234,7 +236,7 @@ class TestSoundness:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_screened_episode_never_drops_below_stress_level(self, seed):
         self.screened_episode(
-            seed, lambda cfg: ConstantController(cfg.n_regions, cfg.a_max))
+            seed, lambda cfg: ConstantController(len(cfg.dynamics), cfg.plant.a_max))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -242,7 +244,7 @@ class TestSoundness:
         # the ET dose alone is often too little; the correction makes up
         # the rest, and on this weather cycle it always fits within a_max
         self.screened_episode(
-            seed, lambda cfg: EtController(cfg.n_regions, cfg.a_max))
+            seed, lambda cfg: EtController(len(cfg.dynamics), cfg.plant.a_max))
 
     def test_correction_beyond_a_max_executes_a_max(self):
         cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD, a_max=0.54)
@@ -262,10 +264,10 @@ class TestSoundness:
         # same setup without the screen: dry proposals drain the soil
         cfg = default_env_config(process_noise_std=0.0)
         n = cfg.episode_length + 1
-        env = IrrigationEnv(cfg, flat_season(n, et=0.3), random_start=False)
+        env = IrrigationEnv(cfg, flat_season(n, et=0.3))
         env.reset(seed=1)
         below = 0
         for _ in range(cfg.episode_length):
-            state = env.step(np.zeros(cfg.n_regions)).next_state
+            state = env.step(np.zeros(len(cfg.dynamics))).next_state
             below += int(np.any(state.v < cfg.levels.v_mad))
         assert below > 0
