@@ -6,10 +6,12 @@ the first and last convergence windows, and the shielded ``rl`` controller's
 season in the measurement setting (exact forecasts, noise-free plant):
 water savings against the ET baseline, days below v_mad and shield triggers.
 The JSON written to --out (default BENCH_seeds.json) also records the
-Python, numpy and BLAS versions and the BLAS thread count, which this script
-pins to one unless OPENBLAS_NUM_THREADS is already set.
+policy's hidden layer sizes, the Python, numpy and BLAS versions and the
+BLAS thread count, which this script pins to one unless
+OPENBLAS_NUM_THREADS is already set.
 
-    PYTHONPATH=src python3 scripts/seed_sweep.py --seeds 0 1 2 3 4
+    PYTHONPATH=src python3 scripts/seed_sweep.py            # seeds 0-9
+    PYTHONPATH=src python3 scripts/seed_sweep.py --seeds 0 1
 """
 
 import os
@@ -67,7 +69,7 @@ def sweep_seed(seed: int) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
     parser.add_argument("--out", default="BENCH_seeds.json")
     args = parser.parse_args()
 
@@ -82,6 +84,7 @@ def main() -> int:
               f"{row['rl_trigger_days']} triggers", flush=True)
     doc = {"run": "default run config; rl evaluated with exact forecasts and "
                   "a noise-free plant",
+           "trainer_hidden": list(default_run_config().trainer.hidden),
            "environment": software_environment(), "seeds": rows}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

@@ -60,16 +60,18 @@ class Mlp:
         activations must come from the forward() that produced the output;
         grad_out has the output's shape.
         """
-        grad_w = [np.zeros_like(W) for W in self.weights]
-        grad_b = [np.zeros_like(b) for b in self.biases]
+        grad_w: list[np.ndarray] = []
+        grad_b: list[np.ndarray] = []
         g = np.atleast_2d(np.asarray(grad_out, dtype=float))
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in = activations[i]
-            grad_w[i] = h_in.T @ g
-            grad_b[i] = g.sum(axis=0)
+            grad_w.append(activations[i].T @ g)
+            grad_b.append(g.sum(axis=0))
             if i > 0:
                 # activations[i] is tanh(z_i) for hidden layers
                 g = (g @ self.weights[i].T) * (1.0 - activations[i] ** 2)
+        # collected output layer first; return them in parameter order
+        grad_w.reverse()
+        grad_b.reverse()
         return grad_w, grad_b
 
 

@@ -39,7 +39,7 @@ class SquashedGaussianPolicy:
     """Gaussian-in-pre-squash-space policy over [0, a_max]^n actions."""
 
     def __init__(self, obs_dim: int, n_regions: int, a_max: float,
-                 hidden: tuple[int, ...] = (256, 256), seed: int | None = None,
+                 hidden: tuple[int, ...] = (64, 64), seed: int | None = None,
                  init_log_std: float = math.log(0.5)):
         if obs_dim < 1 or n_regions < 1:
             raise ValueError("obs_dim and n_regions must be positive")

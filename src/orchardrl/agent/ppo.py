@@ -23,8 +23,10 @@ hand-derived and validated against central finite differences.
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -218,6 +220,12 @@ class TrainerConfig:
     environment's episodes: the caller builds that environment with it
     (evalharness.train_policy_for_run), and train reads the length from the
     environment it is given.
+
+    hidden defaults to two 64-unit layers.  The policy maps a few dozen
+    inputs (26 at two regions) to one dose per region; at 64x64 every seed
+    swept converged with no measurement-setting stress days, as at 256x256,
+    while an iteration's update cost about an eighth as much
+    (BENCH_seeds.json records the sweep).
     """
 
     learning_rate: float = 0.001
@@ -231,7 +239,7 @@ class TrainerConfig:
     convergence_window: int = 25
     convergence_patience: int = 3
     epochs: int = 4
-    hidden: tuple[int, ...] = (256, 256)
+    hidden: tuple[int, ...] = (64, 64)
     init_log_std: float = math.log(0.5)
     warmup_episodes: int = 16
 
@@ -258,9 +266,17 @@ class TrainerConfig:
 
 @dataclass
 class CurvePoint:
+    """One training iteration: the mean episode reward, the last minibatch
+    loss and the exploration log-std after the update, plus where the
+    iteration's time went (wall-clock, so left out of equality)."""
+
     iteration: int
     total_reward: float
     loss: float
+    log_std: tuple[float, ...] = ()
+    rollout_s: float = field(default=0.0, compare=False)
+    update_s: float = field(default=0.0, compare=False)
+    env_steps_per_s: float = field(default=0.0, compare=False)
 
 
 class TrainingDiverged(RuntimeError):
@@ -366,7 +382,9 @@ def train(config: TrainerConfig, env: VecIrrigationEnv, seed: int
     totals: list[float] = []
     steady = 0
     for it in range(config.max_iterations):
+        t0 = time.perf_counter()
         batch, returns, episode_totals = _rollout(env, policy, config, rng)
+        t1 = time.perf_counter()
         advantages = normalized_advantages(
             (returns - returns.mean(axis=0)).ravel())
         total_reward = float(np.mean(episode_totals))
@@ -386,8 +404,12 @@ def train(config: TrainerConfig, env: VecIrrigationEnv, seed: int
                 optimizer.step(policy.param_arrays, grads)
                 policy.clamp_log_std()
 
+        t2 = time.perf_counter()
         curve.append(CurvePoint(iteration=it, total_reward=total_reward,
-                                loss=loss_val))
+                                loss=loss_val,
+                                log_std=tuple(policy.log_std.tolist()),
+                                rollout_s=t1 - t0, update_s=t2 - t1,
+                                env_steps_per_s=len(batch) / (t1 - t0)))
         totals.append(total_reward)
         if _converged(totals, config.convergence_window, config.convergence_band):
             steady += 1
@@ -404,3 +426,11 @@ def write_training_curve(path, curve: list[CurvePoint]) -> None:
         writer.writerow(("iteration", "total_reward", "loss"))
         for pt in curve:
             writer.writerow((pt.iteration, repr(pt.total_reward), repr(pt.loss)))
+
+
+def write_training_metrics(path, curve: list[CurvePoint]) -> None:
+    """One JSON object per iteration holding every CurvePoint field;
+    env_steps_per_s counts one episode-day as a step."""
+    with open(path, "w") as fh:
+        for pt in curve:
+            fh.write(json.dumps(asdict(pt)) + "\n")

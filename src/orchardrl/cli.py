@@ -17,7 +17,7 @@ import sys
 
 from . import evalharness
 from .agent.policy import load_policy
-from .agent.ppo import write_training_curve
+from .agent.ppo import write_training_curve, write_training_metrics
 from .env import REWARD_KINDS
 from .predictor import fit, load_observations_csv
 from .runconfig import (
@@ -104,6 +104,7 @@ def cmd_train(args) -> int:
     policy_path = os.path.join(outdir, "policy.npz")
     policy.save(policy_path)
     write_training_curve(os.path.join(outdir, "training_curve.csv"), curve)
+    write_training_metrics(os.path.join(outdir, "training_metrics.jsonl"), curve)
     save_config(run, os.path.join(outdir, "config.json"))
     final = curve[-1]
     print(f"trained for {len(curve)} iterations "

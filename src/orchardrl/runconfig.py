@@ -8,7 +8,11 @@ path)``; an unknown key raises ValueError naming its section):
     days            int     season length in control days
     n_regions       int     irrigation regions
     out_dir         str     where results land
-    weather_csv     str?    daily weather log; null means synthetic weather
+    weather_csv     str?    daily weather log; null means synthetic weather.
+                    The season is its first days + 1 usable records and
+                    training uses only the records after them, so building
+                    the training weather raises ValueError unless at least
+                    trainer.episode_length + 1 records remain
     forecast_noise  "default" | "exact" | {et_std, miss_rate,
                     false_alarm_rate, false_alarm_mean, precip_rel_std}
                     forecast error of synthetic and CSV weather alike;
@@ -159,37 +163,51 @@ def forecast_noise_model(run: RunConfig) -> NoiseModel:
     return ForecastNoise() if run.forecast_noise == "exact" else run.forecast_noise
 
 
-def build_season_weather(run: RunConfig, days: int | None = None,
-                         seed_offset: int = 0) -> list[WeatherDay]:
+def _csv_weather(run: RunConfig) -> list[WeatherDay]:
+    """Every usable record of the run's weather log, with forecasts."""
+    return load_weather_csv(run.weather_csv, noise=forecast_noise_model(run),
+                            seed=run.seed)
+
+
+def build_season_weather(run: RunConfig, days: int | None = None) -> list[WeatherDay]:
     """Evaluation-season weather: days + 1 records (see env timeline).
 
-    From CSV when configured (the file must be long enough), synthetic
-    otherwise.  seed_offset separates weather randomness streams that must
-    not collide (e.g. evaluation vs training seasons).
+    From CSV when configured (the first days + 1 usable records; the file
+    must be long enough), synthetic otherwise.
     """
     n_days = days or run.days
-    noise = forecast_noise_model(run)
     if run.weather_csv is not None:
-        season = load_weather_csv(run.weather_csv, noise=noise,
-                                  seed=run.seed + seed_offset)
+        season = _csv_weather(run)
         if len(season) < n_days + 1:
             raise ValueError(
                 f"{run.weather_csv}: need {n_days + 1} usable records, "
                 f"got {len(season)}"
             )
         return season[:n_days + 1]
-    return synthesize_season(run.seed + seed_offset, n_days + 1, run.climate,
-                             noise)
+    return synthesize_season(run.seed, n_days + 1, run.climate,
+                             forecast_noise_model(run))
 
 
 def build_training_weather(run: RunConfig, n_seasons: int = 4) -> list[WeatherDay]:
-    """Multi-year synthetic corpus for episode sampling during training.
+    """Weather for episode sampling during training, disjoint in dates from
+    the evaluation season.
 
-    Seasons take consecutive years before the evaluation year so dates stay
-    strictly increasing; every season gets its own derived seed.
+    From CSV: the usable records after the season's days + 1, of which
+    there must be at least trainer.episode_length + 1.  Synthetic: a
+    multi-year corpus whose seasons take consecutive years before the
+    evaluation year, so dates stay strictly increasing; every season gets
+    its own derived seed.
     """
     if run.weather_csv is not None:
-        return build_season_weather(run)
+        corpus = _csv_weather(run)[run.days + 1:]
+        need = run.trainer.episode_length + 1
+        if len(corpus) < need:
+            raise ValueError(
+                f"{run.weather_csv}: training needs {need} usable records "
+                f"after the {run.days + 1}-record evaluation season, "
+                f"got {len(corpus)}"
+            )
+        return corpus
     rng = np.random.default_rng(run.seed)
     seeds = [int(rng.integers(2 ** 32)) for _ in range(n_seasons)]
     noise = forecast_noise_model(run)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -197,6 +197,8 @@ class ClimateParams:
     def __post_init__(self) -> None:
         if len(self.precip_event_prob) != 12:
             raise ValueError("precip_event_prob needs one probability per month")
+        if min(self.ra_base, self.ra_base + self.ra_amp) <= 0:
+            raise ValueError("radiation ra_base + ra_amp * seasonal must stay positive")
 
     def seasonal_phase(self, date: dt.date) -> float:
         """0..1 position within the nominal growing season (clipped)."""
@@ -206,6 +208,8 @@ class ClimateParams:
 
 def _synthesize_raw_day(date: dt.date, climate: ClimateParams,
                         rng: np.random.Generator) -> WeatherDay:
+    # Scalar arithmetic on Python floats throughout: the per-day cost is
+    # interpreter overhead, so clipping uses min/max, not np.clip.
     phase = climate.seasonal_phase(date)
     seasonal = math.sin(math.pi * phase)
     t_avg = climate.t_base_f + climate.t_amp_f * seasonal + float(rng.normal(0.0, climate.t_jitter_f))
@@ -217,28 +221,26 @@ def _synthesize_raw_day(date: dt.date, climate: ClimateParams,
     wet = rng.random() < climate.precip_event_prob[month - 1]
     precip = 0.0
     if wet:
-        precip = float(np.clip(rng.gamma(climate.precip_shape, climate.precip_scale),
-                               0.02, climate.precip_cap))
+        precip = min(max(rng.gamma(climate.precip_shape, climate.precip_scale), 0.02),
+                     climate.precip_cap)
 
+    # hargreaves_et with the day's radiation in place of et_params.ra
     ra = climate.ra_base + climate.ra_amp * seasonal
-    et = hargreaves_et(replace(climate.et_params, ra=ra), fahrenheit_to_celsius(t_avg))
+    p = climate.et_params
+    et = p.gamma_c * ra * math.sqrt(p.td) * max(0.0, fahrenheit_to_celsius(t_avg) + 17.8)
     et *= 1.0 + float(rng.normal(0.0, climate.et_rel_noise))
     if wet:
         et *= climate.wet_day_et_factor
     et = max(climate.et_floor, et)
 
-    h_avg = float(np.clip(80.0 - 0.55 * (t_avg - 55.0) + rng.normal(0.0, 6.0), 20.0, 92.0))
-    h_max = float(np.clip(h_avg + 10.0 + abs(rng.normal(0.0, 4.0)), h_avg, 100.0))
-    h_min = float(np.clip(h_avg - 14.0 - abs(rng.normal(0.0, 4.0)), 2.0, h_avg))
-    solar = float(np.clip(360.0 + 290.0 * seasonal + rng.normal(0.0, 35.0), 60.0, None))
-    wind = float(np.clip(rng.lognormal(math.log(2.8), 0.45), 0.3, 18.0))
+    h_avg = min(max(80.0 - 0.55 * (t_avg - 55.0) + rng.normal(0.0, 6.0), 20.0), 92.0)
+    h_max = min(max(h_avg + 10.0 + abs(rng.normal(0.0, 4.0)), h_avg), 100.0)
+    h_min = min(max(h_avg - 14.0 - abs(rng.normal(0.0, 4.0)), 2.0), h_avg)
+    solar = max(360.0 + 290.0 * seasonal + rng.normal(0.0, 35.0), 60.0)
+    wind = min(max(rng.lognormal(math.log(2.8), 0.45), 0.3), 18.0)
 
-    return WeatherDay(
-        date=date, et=et, precip=precip,
-        t_max=t_max, t_avg=t_avg, t_min=t_min,
-        h_max=h_max, h_avg=h_avg, h_min=h_min,
-        solar=solar, wind=wind,
-    )
+    return WeatherDay(date, et, precip, t_max, t_avg, t_min,
+                      h_max, h_avg, h_min, solar, wind)
 
 
 def attach_forecasts(days: list[WeatherDay], noise: ForecastNoise,
@@ -252,10 +254,9 @@ def attach_forecasts(days: list[WeatherDay], noise: ForecastNoise,
     for i, day in enumerate(days):
         if i + 1 < len(days):
             pred_et, fc_precip = synthesize_forecast(days[i + 1], noise, rng)
-            out.append(replace(day, predicted_et_next=pred_et,
-                               forecast_precip_next=fc_precip))
         else:
-            out.append(replace(day, predicted_et_next=0.0, forecast_precip_next=0.0))
+            pred_et = fc_precip = 0.0
+        out.append(WeatherDay(day.date, *day.numeric_channels, pred_et, fc_precip))
     return out
 
 

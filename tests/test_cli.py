@@ -1,5 +1,6 @@
 """Command-line interface, driven end-to-end in subprocesses."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -159,6 +160,24 @@ class TestTrain:
         saved = json.loads((out / "config.json").read_text())
         assert saved["days"] == 8
         assert saved["trainer"]["hidden"] == [4]
+
+    def test_metrics_follow_the_curve(self, trained):
+        out, _ = trained
+        with open(out / "training_curve.csv", newline="") as fh:
+            curve = list(csv.DictReader(fh))
+        records = [json.loads(line) for line in
+                   (out / "training_metrics.jsonl").read_text().splitlines()]
+        assert [r["iteration"] for r in records] == \
+            [int(row["iteration"]) for row in curve]
+        for rec, row in zip(records, curve):
+            assert set(rec) == {"iteration", "total_reward", "loss", "log_std",
+                                "rollout_s", "update_s", "env_steps_per_s"}
+            assert rec["total_reward"] == float(row["total_reward"])
+            assert rec["loss"] == float(row["loss"])
+            assert len(rec["log_std"]) == 2
+            assert rec["rollout_s"] > 0 and rec["update_s"] > 0
+            # 2 lockstep episodes of 4 days per iteration
+            assert rec["env_steps_per_s"] == pytest.approx(8 / rec["rollout_s"])
 
 
 class TestEvaluate:

@@ -315,7 +315,7 @@ class TestTrainerConfig:
         assert cfg.gamma == 0.99
         assert cfg.clip_epsilon == 0.3
         assert cfg.episodes_per_iteration == 32
-        assert cfg.hidden == (256, 256)
+        assert cfg.hidden == (64, 64)
         assert cfg.convergence_window == 25
 
     @pytest.mark.parametrize("bad", [

@@ -285,6 +285,30 @@ class TestWeatherBuilders:
         with pytest.raises(ValueError, match="usable records"):
             build_season_weather(run)
 
+    def test_csv_training_never_sees_the_season(self, tmp_path):
+        source = synthesize_season(0, 40, default_run_config().climate)
+        path = tmp_path / "weather.csv"
+        write_weather_csv(path, source)
+        run = default_run_config(days=10, weather_csv=str(path))
+        run = dataclasses.replace(
+            run, trainer=dataclasses.replace(run.trainer, episode_length=5))
+        season = {d.date for d in build_season_weather(run)}
+        training = [d.date for d in build_training_weather(run)]
+        assert season.isdisjoint(training)
+        assert len(season) == 11 and len(training) == 39 - 11
+
+    def test_csv_too_short_for_training(self, tmp_path):
+        source = synthesize_season(0, 18, default_run_config().climate)
+        path = tmp_path / "weather.csv"
+        write_weather_csv(path, source)
+        run = default_run_config(days=10, weather_csv=str(path))
+        run = dataclasses.replace(
+            run, trainer=dataclasses.replace(run.trainer, episode_length=6))
+        assert len(build_season_weather(run)) == 11
+        # 17 usable records leave 6 after the season, one short of 6 + 1
+        with pytest.raises(ValueError, match="training needs 7 usable records"):
+            build_training_weather(run)
+
     def test_csv_derived_default_noise_is_reproducible(self, tmp_path):
         source = synthesize_season(4, 20, default_run_config().climate)
         path = tmp_path / "weather.csv"

@@ -2,6 +2,8 @@
 
 import dataclasses
 import datetime as dt
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +176,21 @@ class TestSynthesizeSeason:
         with pytest.raises(ValueError, match="per month"):
             ClimateParams(precip_event_prob=(0.1,) * 11)
 
+    def test_radiation_must_stay_positive(self):
+        with pytest.raises(ValueError, match="radiation"):
+            ClimateParams(ra_base=0.2, ra_amp=-0.3)
+
+    def test_dry_noise_free_et_is_hargreaves(self):
+        # the generator inlines hargreaves_et with the day's radiation
+        climate = ClimateParams(et_rel_noise=0.0, et_floor=0.0,
+                                precip_event_prob=(0.0,) * 12)
+        for day in synthesize_season(2, 60, climate):
+            seasonal = math.sin(math.pi * climate.seasonal_phase(day.date))
+            params = dataclasses.replace(
+                climate.et_params, ra=climate.ra_base + climate.ra_amp * seasonal)
+            assert day.et == hargreaves_et(params,
+                                           fahrenheit_to_celsius(day.t_avg))
+
     def test_exact_forecasts_match_next_actuals(self):
         season = synthesize_season(5, 60, noise=ForecastNoise())
         for today, tomorrow in zip(season, season[1:]):
@@ -274,3 +291,34 @@ def test_attach_forecasts_preserves_observed_channels(rng):
     out = attach_forecasts(days, ForecastNoise(), rng)
     assert [d.numeric_channels for d in out] == [d.numeric_channels for d in days]
     assert out[0].predicted_et_next == days[1].et
+
+
+def _digest(days):
+    text = "\n".join(repr(dataclasses.astuple(d)) for d in days)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    """Synthesis and CSV forecasts reproduce known records bit for bit: the
+    sha256 of the repr of every field of every record.  A change to the
+    draw order or to any arithmetic expression changes a digest."""
+
+    @pytest.mark.parametrize("seed,noise,digest", [
+        (0, default_forecast_noise,
+         "799fc378f878fcb0fd0bcff76c5848f158dbdcf09b9c7ac8cf718c85094b46e3"),
+        (7, default_forecast_noise,
+         "7d73ba7ab5d142b421316cf16f130bebdd1c87c53fa6f71bfc23c3d3d7298acb"),
+        (0, ForecastNoise(),
+         "a446f60b1649eb004c2e29b09aaf138b58a73c61e8feaf49e96075111d437614"),
+        (7, ForecastNoise(),
+         "fc33e0bcd0ff5ddd4c5e74e616f0cbf21097e9f2688ea64a2513efc81de64b5c"),
+    ])
+    def test_synthesized_season(self, seed, noise, digest):
+        assert _digest(synthesize_season(seed, 247, noise=noise)) == digest
+
+    def test_csv_forecasts(self, tmp_path):
+        path = tmp_path / "season.csv"
+        write_weather_csv(path, synthesize_season(5, 30))
+        loaded = load_weather_csv(path, noise=default_forecast_noise, seed=3)
+        assert _digest(loaded) == \
+            "ee02a1496d4987861bfc0503bf0cdabb25ef300a3996d7ad11c95eaccfc4d860"
