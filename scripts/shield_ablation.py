@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Shield ablation grid: {trained, adversarial} x {shield on, shield off}.
 
-The adversarial policy is the trained snapshot with its output layer
-rewired to propose (almost) zero irrigation everywhere, the worst case the
-screen has to catch.  Runs under exact forecasts and zero process noise so
-stress days measure the mechanism, not residual noise.  Ends with a
-trigger-day log for the shielded adversarial season: which days fired and
-what the forecast looked like.
+The four cells run as one paired roster.  The adversarial policy is the
+trained snapshot with its output layer rewired to propose (almost) zero
+irrigation everywhere, the worst case the screen has to catch.  Runs under
+exact forecasts and zero process noise so stress days measure the
+mechanism, not residual noise.  Ends with a trigger-day log for the
+shielded adversarial season: which days fired and what the forecast looked
+like.
 """
 
 import argparse
 import copy
 
 from orchardrl.cli import load_run, obtain_policy
-from orchardrl.evalharness import build_controller, qos, run_season
+from orchardrl.evalharness import build_controller, qos, run_roster
 from orchardrl.runconfig import build_levels, measurement_run
 
 
@@ -39,24 +40,22 @@ def main(argv=None) -> int:
     policy = obtain_policy(run, args.policy, "rl")
 
     season = measurement_run(run)
-    grid = {
-        ("trained", "on"): ("rl", policy),
-        ("trained", "off"): ("rl-noshield", policy),
-        ("adversary", "on"): ("rl", rewire_to_zero(policy)),
-        ("adversary", "off"): ("rl-noshield", rewire_to_zero(policy)),
-    }
+    adversary = rewire_to_zero(policy)
+    result = run_roster(season, {
+        "trained-on": build_controller(season, "rl", policy=policy),
+        "trained-off": build_controller(season, "rl-noshield", policy=policy),
+        "adversary-on": build_controller(season, "rl", policy=adversary),
+        "adversary-off": build_controller(season, "rl-noshield", policy=adversary),
+    })
     print(f"\n{'policy':10s} {'shield':6s} {'water_in':>9s} "
           f"{'below_mad':>9s} {'triggers':>8s}")
-    entries = {}
-    for (who, shield), (name, pol) in grid.items():
-        entry = run_season(season, build_controller(season, name, policy=pol),
-                           name=f"{who}-{shield}")
-        entries[(who, shield)] = entry
+    for name, entry in result.entries.items():
+        who, shield = name.split("-")
         below, _ = qos(entry, levels)
         print(f"{who:10s} {shield:6s} {entry.total_water:9.3f} "
               f"{below:9d} {entry.shield_trigger_days:8d}")
 
-    probe = entries[("adversary", "on")]
+    probe = result.entries["adversary-on"]
     fired = [d for d in range(probe.season_days) if probe.triggered[d]]
     print(f"\nadversary-on trigger days ({len(fired)} total, "
           f"first {min(args.max_log, len(fired))} shown):")

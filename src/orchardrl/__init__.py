@@ -37,16 +37,11 @@ from .weather import (
 from .env import (
     DEFAULT_REGION_DYNAMICS,
     EnvConfig,
-    EnvState,
     IrrigationEnv,
     NormalizationStats,
     PlantParams,
     RewardParams,
-    Transition,
-    normalize,
     reward,
-    reward_mad_only,
-    state_vector,
 )
 from .agent import (
     SquashedGaussianPolicy,
@@ -72,7 +67,6 @@ from .evalharness import (
     ExperimentResult,
     qos,
     run_roster,
-    run_season,
     water_savings,
 )
 from .runconfig import (

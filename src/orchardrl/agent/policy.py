@@ -4,8 +4,8 @@ The network maps a normalized observation to per-region pre-squash means; a
 state-independent learned log-std vector sets exploration.  Samples map to
 valid irrigation depths through an affine tanh squash onto [0, a_max], and
 log-probabilities carry the corresponding change-of-variables correction.
-Snapshots persist to a versioned .npz with the normalization statistics and
-a config hash embedded.
+Snapshots persist to a versioned .npz with the normalization statistics, a
+config hash and the software environment embedded.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from ..env import NormalizationStats
+from ..software import software_environment
 from .mlp import Mlp
 
 LOG_STD_MIN = -5.0
@@ -158,6 +159,7 @@ class SquashedGaussianPolicy:
             "n_regions": self.n_regions,
             "a_max": self.a_max,
             "hidden": list(self.hidden),
+            "software": software_environment(),
         }
         arrays: dict[str, np.ndarray] = {"meta": np.array(json.dumps(meta))}
         for i, (W, b) in enumerate(zip(self.net.weights, self.net.biases)):

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..env import N_MONTHS, NormalizationStats, VecIrrigationEnv
+from ..env import N_MONTHS, IrrigationEnv, NormalizationStats
 from .mlp import AdamOptimizer
 from .policy import SquashedGaussianPolicy
 
@@ -298,7 +298,7 @@ def _converged(totals: list[float], window: int, band: float) -> bool:
     return abs(cur - prev) <= band * abs(prev)
 
 
-def _collect_normalization_stats(env: VecIrrigationEnv, config: TrainerConfig,
+def _collect_normalization_stats(env: IrrigationEnv, config: TrainerConfig,
                                  rng: np.random.Generator) -> NormalizationStats:
     """Freeze observation statistics from random-action warmup episodes.
 
@@ -320,7 +320,7 @@ def _collect_normalization_stats(env: VecIrrigationEnv, config: TrainerConfig,
     return NormalizationStats.from_samples(episode_major, n_continuous)
 
 
-def _rollout(env: VecIrrigationEnv, policy: SquashedGaussianPolicy,
+def _rollout(env: IrrigationEnv, policy: SquashedGaussianPolicy,
              config: TrainerConfig, rng: np.random.Generator
              ) -> tuple[RolloutBatch, np.ndarray, np.ndarray]:
     """Run episodes_per_iteration episodes in lockstep under the frozen
@@ -350,7 +350,7 @@ def _rollout(env: VecIrrigationEnv, policy: SquashedGaussianPolicy,
     return batch, returns, rewards.sum(axis=0)
 
 
-def train(config: TrainerConfig, env: VecIrrigationEnv, seed: int
+def train(config: TrainerConfig, env: IrrigationEnv, seed: int
           ) -> tuple[SquashedGaussianPolicy, list[CurvePoint]]:
     """Optimize a policy against env, whose configuration sets the episode
     length, the reward and the plant; every reset draws each episode's

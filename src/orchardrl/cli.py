@@ -131,13 +131,9 @@ def cmd_evaluate(args) -> int:
         policy = obtain_policy(with_reward_kind(run, kind), args.policy,
                                args.controller)
     controller = evalharness.build_controller(run, args.controller, policy=policy)
-    entry = evalharness.run_season(run, controller, name=args.controller)
-    result = evalharness.ExperimentResult(
-        season_days=entry.season_days, seed=run.seed,
-        config_fingerprint=config_hash(run),
-        entries={args.controller: entry})
+    result = evalharness.run_roster(run, {args.controller: controller})
     evalharness.write_results(run.out_dir, result, levels)
-    _print_summary(args.controller, entry, levels)
+    _print_summary(args.controller, result.entries[args.controller], levels)
     print(f"results -> {run.out_dir}")
     return 0
 

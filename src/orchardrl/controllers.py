@@ -1,6 +1,10 @@
-"""Irrigation controllers behind one decide(state) interface.
+"""Irrigation controllers behind one decide(obs) interface.
 
-All controllers are pure functions of the state (plus their frozen config or
+Every controller reads one row of the environment's observation layout
+(see env.OBS_EXTRA): the ET baseline reads the day's ET and precipitation
+columns, the sensor baseline the soil-water columns, the RL controller the
+whole row, and the shield the soil-water and forecast columns.  All
+controllers are pure functions of that row (plus their frozen config or
 policy), so replaying a logged season reproduces every decision.  Decisions
 carry a source tag — agent, et_baseline, sensor_baseline, shield_fallback —
 so season logs can attribute every drop of water.
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent.policy import SquashedGaussianPolicy
-from .env import EnvState, state_vector
+from .env import OBS_ET, OBS_PRECIP, channel, soil_water
 from .hydrology import SoilLevels
 from .safety import ShieldConfig, ShieldReport, screen
 
@@ -43,9 +47,9 @@ class EtController:
         self.n_regions = n_regions
         self.a_max = a_max
 
-    def decide(self, state: EnvState) -> ControllerDecision:
-        w = state.weather_today
-        dose = min(self.a_max, max(0.0, w.et - w.precip))
+    def decide(self, obs: np.ndarray) -> ControllerDecision:
+        loss = channel(obs, OBS_ET) - channel(obs, OBS_PRECIP)
+        dose = min(self.a_max, max(0.0, loss))
         return ControllerDecision(action=np.full(self.n_regions, dose),
                                   source=SOURCE_ET)
 
@@ -98,12 +102,11 @@ class SensorController:
         self.fill_gain = fill_gain
         self.a_max = a_max
 
-    def decide(self, state: EnvState) -> ControllerDecision:
-        a = np.zeros(len(state.v))
-        for i, v_i in enumerate(state.v):
-            if v_i < self.config.lower_threshold:
-                a[i] = min(self.a_max,
-                           (self.config.upper_threshold - v_i) / self.fill_gain)
+    def decide(self, obs: np.ndarray) -> ControllerDecision:
+        v = soil_water(obs)
+        fill = np.minimum(self.a_max,
+                          (self.config.upper_threshold - v) / self.fill_gain)
+        a = np.where(v < self.config.lower_threshold, fill, 0.0)
         return ControllerDecision(action=a, source=SOURCE_SENSOR)
 
 
@@ -120,9 +123,8 @@ class RlController:
             raise ValueError("policy has no normalization statistics attached")
         self.policy = policy
 
-    def decide(self, state: EnvState) -> ControllerDecision:
-        obs = self.policy.norm_stats.apply(state_vector(state))
-        action = self.policy.mean_action(obs)
+    def decide(self, obs: np.ndarray) -> ControllerDecision:
+        action = self.policy.mean_action(self.policy.norm_stats.apply(obs))
         return ControllerDecision(action=np.asarray(action, dtype=float),
                                   source=SOURCE_AGENT)
 
@@ -138,7 +140,7 @@ class ConstantController:
             raise ValueError("depth must be nonnegative")
         self.action = np.full(n_regions, float(depth))
 
-    def decide(self, state: EnvState) -> ControllerDecision:
+    def decide(self, obs: np.ndarray) -> ControllerDecision:
         return ControllerDecision(action=self.action.copy(), source=SOURCE_AGENT)
 
 
@@ -158,9 +160,9 @@ class ShieldedController:
         self.fallback = fallback
         self.name = getattr(inner, "name", "inner")
 
-    def decide(self, state: EnvState) -> ControllerDecision:
-        proposal = self.inner.decide(state)
-        action, report = screen(self.shield, state, proposal.action,
+    def decide(self, obs: np.ndarray) -> ControllerDecision:
+        proposal = self.inner.decide(obs)
+        action, report = screen(self.shield, obs, proposal.action,
                                 self.fallback)
         source = SOURCE_SHIELD if report.triggered else proposal.source
         return ControllerDecision(action=action, source=source, report=report)

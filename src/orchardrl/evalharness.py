@@ -1,8 +1,11 @@
 """Season-long experiment runner: paired controller comparisons and metrics.
 
-Every controller in a roster faces byte-identical weather, the same initial
-soil state, and the same process-noise stream, so water and stress metrics
-differ only through the decisions.  Results persist as a daily CSV, a
+A roster runs as one lockstep batch: one IrrigationEnv episode per
+controller, every episode reset with the run's seed.  So every controller
+faces the same weather, initial soil state and process-noise stream by
+construction, and water and stress metrics differ only through the
+decisions.  Each day every controller decides on its own episode's
+observation row.  Results persist as a daily CSV, a
 summary CSV, and a JSON manifest carrying the config fingerprint.
 """
 
@@ -20,13 +23,12 @@ from .agent.policy import SquashedGaussianPolicy
 from .agent.ppo import CurvePoint, train
 from .controllers import (
     ConstantController,
-    ControllerDecision,
     EtController,
     RlController,
     SensorController,
     ShieldedController,
 )
-from .env import IrrigationEnv, VecIrrigationEnv
+from .env import IrrigationEnv
 from .hydrology import SoilLevels
 from .runconfig import (
     RunConfig,
@@ -38,7 +40,7 @@ from .runconfig import (
     config_hash,
 )
 from .safety import ShieldConfig
-from .weather import WeatherDay
+from .software import software_environment
 
 ROSTER_NAMES = ("et", "sensor", "rl", "rl-mad", "rl-noshield")
 
@@ -102,61 +104,50 @@ def water_savings(candidate: ControllerResult, baseline: ControllerResult) -> fl
     return 100.0 * (baseline.total_water - candidate.total_water) / baseline.total_water
 
 
-def run_season(run: RunConfig, controller, name: str | None = None,
-               weather: list[WeatherDay] | None = None,
-               days: int | None = None) -> ControllerResult:
-    """Step one controller through a full season.
-
-    The season is the first days + 1 records of weather (the run's season
-    weather by default), so the episode always starts on its first day.
-    The environment resets with the run's seed, so repeated calls (and other
-    controllers given the same weather) see identical initial conditions and
-    noise streams.
-    """
-    n_days = days or run.days
-    season = weather if weather is not None else build_season_weather(run, days=n_days)
-    env = IrrigationEnv(build_env_config(run, episode_length=n_days),
-                        season[:n_days + 1])
-    state = env.reset(seed=run.seed)
-
-    initial_v = state.v.copy()
-    dates: list[dt.date] = []
-    water = np.zeros(n_days)
-    actions = np.zeros((n_days, run.n_regions))
-    soil = np.zeros((n_days, run.n_regions))
-    sources: list[str] = []
-    deficits = np.full(n_days, np.nan)
-    triggered = np.zeros(n_days, dtype=bool)
-
-    for day in range(n_days):
-        decision: ControllerDecision = controller.decide(state)
-        tr = env.step(decision.action)
-        actions[day] = tr.action
-        water[day] = float(tr.action.sum())
-        soil[day] = tr.next_state.v
-        dates.append(tr.next_state.weather_today.date)
-        sources.append(decision.source)
-        if decision.report is not None:
-            deficits[day] = decision.report.deficit_sum
-            triggered[day] = decision.report.triggered
-        state = tr.next_state
-
-    return ControllerResult(
-        name=name or getattr(controller, "name", "controller"),
-        season_days=n_days, initial_v=initial_v, dates=dates,
-        daily_water=water, actions=actions, soil=soil, sources=sources,
-        deficits=deficits, triggered=triggered)
-
-
 def run_roster(run: RunConfig, controllers: dict[str, object],
                days: int | None = None) -> ExperimentResult:
-    """Paired season comparison: one weather draw, one initial state."""
+    """Paired season comparison: each controller steps its own episode of one
+    batched environment, all in lockstep.
+
+    The season weather has days + 1 records, so every episode starts on its
+    first day.  Every episode resets with the run's seed, so all controllers
+    see identical initial soil water and noise streams, and a controller's
+    season does not depend on which others share the roster.
+    """
     n_days = days or run.days
     season = build_season_weather(run, days=n_days)
-    entries: dict[str, ControllerResult] = {}
-    for name, controller in controllers.items():
-        entries[name] = run_season(run, controller, name=name, weather=season,
-                                   days=n_days)
+    names = list(controllers)
+    E, n = len(names), run.n_regions
+    env = IrrigationEnv(build_env_config(run, episode_length=n_days), season)
+    obs = env.reset([run.seed] * E)
+
+    initial_v = env.v.copy()
+    actions = np.zeros((E, n_days, n))
+    soil = np.zeros((E, n_days, n))
+    sources: list[list[str]] = [[] for _ in names]
+    deficits = np.full((E, n_days), np.nan)
+    triggered = np.zeros((E, n_days), dtype=bool)
+
+    for day in range(n_days):
+        decisions = [controllers[name].decide(row) for name, row in zip(names, obs)]
+        obs, _ = env.step(np.reshape([d.action for d in decisions], (E, n)))
+        actions[:, day] = env.a
+        soil[:, day] = env.v
+        for e, decision in enumerate(decisions):
+            sources[e].append(decision.source)
+            if decision.report is not None:
+                deficits[e, day] = decision.report.deficit_sum
+                triggered[e, day] = decision.report.triggered
+
+    dates = [w.date for w in season[1:]]
+    entries = {
+        name: ControllerResult(
+            name=name, season_days=n_days, initial_v=initial_v[e],
+            dates=list(dates), daily_water=actions[e].sum(axis=1),
+            actions=actions[e],
+            soil=soil[e], sources=sources[e], deficits=deficits[e],
+            triggered=triggered[e])
+        for e, name in enumerate(names)}
     return ExperimentResult(season_days=n_days, seed=run.seed,
                             config_fingerprint=config_hash(run),
                             entries=entries)
@@ -214,7 +205,7 @@ def train_policy_for_run(run: RunConfig
                          ) -> tuple[SquashedGaussianPolicy, list[CurvePoint]]:
     """Train on the run's reward, with episodes of trainer.episode_length
     days drawn from the run's training weather."""
-    env = VecIrrigationEnv(
+    env = IrrigationEnv(
         build_env_config(run, episode_length=run.trainer.episode_length),
         build_training_weather(run))
     policy, curve = train(run.trainer, env, seed=run.seed)
@@ -227,7 +218,8 @@ def train_policy_for_run(run: RunConfig
 
 def write_results(outdir, experiment: ExperimentResult,
                   levels: SoilLevels) -> None:
-    """Persist summary.csv, daily.csv, and manifest.json under outdir."""
+    """Persist summary.csv, daily.csv, and manifest.json under outdir; the
+    manifest also records the software environment."""
     os.makedirs(outdir, exist_ok=True)
     n_regions = next(iter(experiment.entries.values())).soil.shape[1] \
         if experiment.entries else 0
@@ -266,6 +258,7 @@ def write_results(outdir, experiment: ExperimentResult,
         "controllers": list(experiment.entries),
         "levels": {"v_pwp": levels.v_pwp, "v_awc": levels.v_awc,
                    "v_fc": levels.v_fc, "v_mad": levels.v_mad},
+        "software": software_environment(),
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -1,13 +1,15 @@
 """Predictor-based action screening (the safe-irrigation mechanism).
 
 Before an agent action executes, the shield predicts each region's next-day
-soil water under that action using its own learned water-balance model and
-the forecast weather channels.  If the aggregate predicted stress deficit
-exceeds the detector threshold, the shield takes over for this cycle only;
-the agent resumes control next cycle.  On a takeover the fallback
-controller's action is the starting point, and every region the shield
-still predicts below v_mad under it is raised to the least dose that the
-same model predicts reaches v_mad, capped at a_max.  So the shield never
+soil water under that action using its own learned water-balance model.  It
+reads the environment's observation row: the soil-water columns and the two
+forecast columns (predicted_et_next, forecast_precip_next).  If the
+aggregate predicted stress deficit exceeds the detector threshold, the
+shield takes over for this cycle only; the agent resumes control next
+cycle.  On a takeover the fallback controller's action is the starting
+point, and every region the shield still predicts below v_mad under it is
+raised to the least dose that the same model predicts reaches v_mad,
+capped at a_max.  So the shield never
 executes an action it predicts unsafe unless even a_max falls short.  This
 is the minimal correction of Dalal et al. 2018 for one linear constraint
 per region.
@@ -24,7 +26,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .env import EnvState
+from .env import (
+    OBS_FORECAST_PRECIP_NEXT,
+    OBS_PREDICTED_ET_NEXT,
+    channel,
+    soil_water,
+)
 from .predictor import PredictorModel, coefficient_table, predict_next_array
 
 
@@ -97,24 +104,25 @@ class ShieldReport:
 _MAX_ULP_STEPS = 8
 
 
-def _predict(config: ShieldConfig, state: EnvState, coef: np.ndarray,
+def _predict(config: ShieldConfig, obs: np.ndarray, coef: np.ndarray,
              action: np.ndarray) -> np.ndarray:
     """The shield's next-day prediction for every region, from the forecast
-    channels; bit for bit predict_next's."""
-    return predict_next_array(coef, state.v, action, state.forecast_precip_next,
-                              state.predicted_et_next, cap=config.cap)
+    columns of an observation row; bit for bit predict_next's."""
+    return predict_next_array(coef, soil_water(obs), action,
+                              channel(obs, OBS_FORECAST_PRECIP_NEXT),
+                              channel(obs, OBS_PREDICTED_ET_NEXT), cap=config.cap)
 
 
-def predicted_deficit(config: ShieldConfig, state: EnvState,
+def predicted_deficit(config: ShieldConfig, obs: np.ndarray,
                       action: np.ndarray) -> tuple[np.ndarray, float]:
     """Next-day per-region predictions under an action, and the aggregate
     stress deficit those predictions imply."""
     a = np.asarray(action, dtype=float).reshape(-1)
-    v_hat = _predict(config, state, config.coefficients(len(a)), a)
+    v_hat = _predict(config, obs, config.coefficients(len(a)), a)
     return v_hat, float(np.maximum(0.0, config.v_mad - v_hat).sum())
 
 
-def _least_safe_action(config: ShieldConfig, state: EnvState,
+def _least_safe_action(config: ShieldConfig, obs: np.ndarray,
                        base: np.ndarray) -> np.ndarray:
     """Raise each region the shield predicts below v_mad under base to the
     least dose it predicts reaches v_mad, capped at config.a_max.
@@ -130,15 +138,16 @@ def _least_safe_action(config: ShieldConfig, state: EnvState,
     coef = config.coefficients(len(a))
     c1, c2, c3, b = coef
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_star = (config.v_mad - c1 * state.v - c2 * state.forecast_precip_next
-                  - c3 * state.predicted_et_next - b) / c2
+        a_star = (config.v_mad - c1 * soil_water(obs)
+                  - c2 * channel(obs, OBS_FORECAST_PRECIP_NEXT)
+                  - c3 * channel(obs, OBS_PREDICTED_ET_NEXT) - b) / c2
     raised = (a_star > a) & (c2 > 0)
     if not np.count_nonzero(raised):
         return a
     a_hi = np.inf if config.a_max is None else config.a_max
     a = np.where(raised, np.minimum(a_star, a_hi), a)
     for _ in range(_MAX_ULP_STEPS):
-        raised &= (a < a_hi) & (_predict(config, state, coef, a) < config.v_mad)
+        raised &= (a < a_hi) & (_predict(config, obs, coef, a) < config.v_mad)
         if not np.count_nonzero(raised):
             break
         step = np.spacing(config.v_mad) / c2
@@ -146,11 +155,12 @@ def _least_safe_action(config: ShieldConfig, state: EnvState,
     return a
 
 
-def screen(config: ShieldConfig, state: EnvState, proposed: np.ndarray,
+def screen(config: ShieldConfig, obs: np.ndarray, proposed: np.ndarray,
            fallback) -> tuple[np.ndarray, ShieldReport]:
-    """Screen a proposed action; on a trigger, execute a certified one.
+    """Screen a proposed action for the day of observation row obs; on a
+    trigger, execute a certified one.
 
-    fallback is any controller object whose decide(state) returns a decision
+    fallback is any controller object whose decide(obs) returns a decision
     with an ``action`` attribute.  On a trigger each region gets the larger
     of the fallback's dose and the least dose the shield predicts safe
     (capped at a_max); that corrected action is both executed and reported
@@ -159,11 +169,11 @@ def screen(config: ShieldConfig, state: EnvState, proposed: np.ndarray,
     so ablation runs can count would-have-triggered days.
     """
     proposed = np.asarray(proposed, dtype=float).reshape(-1)
-    v_hat, deficit = predicted_deficit(config, state, proposed)
+    v_hat, deficit = predicted_deficit(config, obs, proposed)
     would_trigger = deficit > config.detector_threshold
     if config.enabled and would_trigger:
-        substituted = _least_safe_action(config, state,
-                                         fallback.decide(state).action)
+        substituted = _least_safe_action(config, obs,
+                                         fallback.decide(obs).action)
         return substituted.copy(), ShieldReport(
             predicted_v_next=v_hat, deficit_sum=deficit, triggered=True,
             substituted_action=substituted)

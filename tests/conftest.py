@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from orchardrl.env import EnvConfig, PlantParams, RewardParams, default_dynamics
+from orchardrl.env import (
+    N_MONTHS,
+    EnvConfig,
+    PlantParams,
+    RewardParams,
+    default_dynamics,
+)
 from orchardrl.hydrology import derive_levels, testbed_profile
+from orchardrl.weather import WeatherDay
 
 settings.register_profile(
     "suite",
@@ -29,6 +38,35 @@ def default_env_config(n_regions=2, *, dynamics=None, profile=None,
                      episode_length=episode_length,
                      reward=RewardParams(kind=reward_kind),
                      plant=PlantParams(**plant))
+
+
+def flat_season(n, et=0.15, precip=0.0, start=dt.date(2020, 3, 1)):
+    """n consecutive daily records with per-day (or constant) ET and
+    precipitation and exact next-day forecasts."""
+    et_seq = [et] * n if np.isscalar(et) else list(et)
+    p_seq = [precip] * n if np.isscalar(precip) else list(precip)
+    days = []
+    for i in range(n):
+        has_next = i + 1 < n
+        days.append(WeatherDay(
+            date=start + dt.timedelta(days=i),
+            et=et_seq[i], precip=p_seq[i],
+            t_max=75.0, t_avg=65.0, t_min=55.0,
+            h_max=90.0, h_avg=70.0, h_min=50.0, solar=500.0, wind=3.0,
+            predicted_et_next=et_seq[i + 1] if has_next else 0.0,
+            forecast_precip_next=p_seq[i + 1] if has_next else 0.0))
+    return days
+
+
+def obs_row(v, day: WeatherDay) -> np.ndarray:
+    """The environment's observation row for soil water v on a day, built
+    from the documented layout: [v_1..v_N, the ten weather channels,
+    predicted_et_next, forecast_precip_next, month one-hot]."""
+    one_hot = np.zeros(N_MONTHS)
+    one_hot[day.date.month - 1] = 1.0
+    return np.concatenate([np.asarray(v, dtype=float), day.numeric_channels,
+                           (day.predicted_et_next, day.forecast_precip_next),
+                           one_hot])
 
 
 @pytest.fixture(scope="session")

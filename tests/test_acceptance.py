@@ -20,7 +20,6 @@ from orchardrl.evalharness import (
     build_controller,
     qos,
     run_roster,
-    run_season,
     train_policy_for_run,
     water_savings,
 )
@@ -30,6 +29,8 @@ from orchardrl.predictor import TREE1_MODEL, ObservationRow, fit, predict_next
 from orchardrl import runconfig
 from orchardrl.runconfig import default_run_config
 from orchardrl.weather import WeatherDay
+
+from conftest import obs_row
 
 
 def verdict(k: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -148,15 +149,14 @@ def test_shield_soundness(measurement_run, trained_full, roster, levels):
     adversary.param_arrays[-3][:] = 0.0
     adversary.param_arrays[-2][:] = -8.0
 
-    shielded = run_season(
-        measurement_run,
-        build_controller(measurement_run, "rl", policy=adversary),
-        name="adversary-shielded")
-    bare = run_season(
-        measurement_run,
-        build_controller(measurement_run, "rl-noshield", policy=adversary),
-        name="adversary-bare")
-    below_bare, _ = qos(bare, levels)
+    probes = run_roster(measurement_run, {
+        "adversary-shielded": build_controller(measurement_run, "rl",
+                                               policy=adversary),
+        "adversary-bare": build_controller(measurement_run, "rl-noshield",
+                                           policy=adversary),
+    }).entries
+    shielded = probes["adversary-shielded"]
+    below_bare, _ = qos(probes["adversary-bare"], levels)
     ok = (below_trained == 0 and below_bare > 0
           and shielded.shield_trigger_days > 0)
     assert verdict(5, "shield keeps the agent out of stress", ok,
@@ -188,15 +188,12 @@ def test_reward_ablation(roster):
 def test_baseline_behaviors(default_run, levels):
     import datetime as dt
 
-    from orchardrl.env import EnvState
-
     def state_for(v, et, precip):
         w = WeatherDay(date=dt.date(2020, 7, 1), et=et, precip=precip,
                        t_max=85.0, t_avg=70.0, t_min=55.0, h_max=90.0,
                        h_avg=60.0, h_min=30.0, solar=600.0, wind=4.0,
                        predicted_et_next=et, forecast_precip_next=precip)
-        return EnvState(v=np.asarray(v, dtype=float), weather_today=w,
-                        month=7, day_in_episode=0)
+        return obs_row(v, w)
 
     # loss replacement applies one uniform depth, whatever the soil state
     et_ctl = EtController(n_regions=3, a_max=default_run.env.a_max)

@@ -18,12 +18,14 @@ from orchardrl.controllers import (
     SensorControllerConfig,
     ShieldedController,
 )
-from orchardrl.env import EnvState, NormalizationStats, state_vector
+from orchardrl.env import NormalizationStats
 from orchardrl.hydrology import derive_levels
 from orchardrl.hydrology import testbed_profile as orchard_profile
 from orchardrl.predictor import TREE1_MODEL, predict_next
 from orchardrl.safety import ShieldConfig
 from orchardrl.weather import WeatherDay
+
+from conftest import obs_row
 
 A_MAX = 0.54
 
@@ -37,27 +39,25 @@ def make_day(et=0.15, precip=0.0, et_next=0.15, precip_next=0.0,
                       forecast_precip_next=precip_next)
 
 
-def make_state(v, **day_kw):
-    w = make_day(**day_kw)
-    return EnvState(v=np.asarray(v, dtype=float), weather_today=w,
-                    month=w.date.month, day_in_episode=0)
+def make_obs(v, **day_kw):
+    return obs_row(v, make_day(**day_kw))
 
 
 class TestEtController:
     def test_replaces_yesterdays_loss(self):
         ctl = EtController(n_regions=2, a_max=A_MAX)
-        d = ctl.decide(make_state([5.0, 6.0], et=0.15, precip=0.0))
+        d = ctl.decide(make_obs([5.0, 6.0], et=0.15, precip=0.0))
         assert np.allclose(d.action, [0.15, 0.15])
         assert d.source == SOURCE_ET
 
     def test_rain_excess_means_no_water(self):
         ctl = EtController(n_regions=2, a_max=A_MAX)
-        d = ctl.decide(make_state([5.0, 6.0], et=0.10, precip=0.25))
+        d = ctl.decide(make_obs([5.0, 6.0], et=0.10, precip=0.25))
         assert np.array_equal(d.action, [0.0, 0.0])
 
     def test_capped_at_a_max(self):
         ctl = EtController(n_regions=1, a_max=A_MAX)
-        d = ctl.decide(make_state([5.0], et=0.80, precip=0.0))
+        d = ctl.decide(make_obs([5.0], et=0.80, precip=0.0))
         assert d.action[0] == A_MAX
 
     def test_same_depth_everywhere(self):
@@ -67,7 +67,7 @@ class TestEtController:
         for _ in range(1000):
             et = float(rng.uniform(0.0, 0.5))
             precip = float(rng.uniform(0.0, 0.4))
-            state = make_state(rng.uniform(3.0, 8.0, size=3),
+            state = make_obs(rng.uniform(3.0, 8.0, size=3),
                                et=et, precip=precip)
             a = ctl.decide(state).action
             assert np.all(a == a[0])
@@ -78,30 +78,30 @@ class TestSensorController:
     def test_no_water_above_lower_threshold(self):
         ctl = SensorController(SensorControllerConfig(), fill_gain=0.288,
                                a_max=A_MAX)
-        assert np.array_equal(ctl.decide(make_state([5.2])).action, [0.0])
+        assert np.array_equal(ctl.decide(make_obs([5.2])).action, [0.0])
 
     def test_exactly_at_threshold_stays_dry(self):
         ctl = SensorController(SensorControllerConfig(), fill_gain=0.288,
                                a_max=A_MAX)
-        assert np.array_equal(ctl.decide(make_state([4.96])).action, [0.0])
+        assert np.array_equal(ctl.decide(make_obs([4.96])).action, [0.0])
 
     def test_fill_dose_capped(self):
         # (6.97 - 4.80) / 0.288 = 7.53 inches wanted, capacity allows 0.54
         ctl = SensorController(SensorControllerConfig(), fill_gain=0.288,
                                a_max=A_MAX)
-        assert ctl.decide(make_state([4.80])).action[0] == A_MAX
+        assert ctl.decide(make_obs([4.80])).action[0] == A_MAX
 
     def test_uncapped_fill_dose(self):
         ctl = SensorController(SensorControllerConfig(), fill_gain=5.0,
                                a_max=A_MAX)
-        d = ctl.decide(make_state([4.80]))
+        d = ctl.decide(make_obs([4.80]))
         assert d.action[0] == pytest.approx((6.97 - 4.80) / 5.0, abs=1e-12)
         assert d.source == SOURCE_SENSOR
 
     def test_regions_decided_independently(self):
         ctl = SensorController(SensorControllerConfig(), fill_gain=0.288,
                                a_max=A_MAX)
-        d = ctl.decide(make_state([4.5, 5.5]))
+        d = ctl.decide(make_obs([4.5, 5.5]))
         assert d.action[0] == A_MAX
         assert d.action[1] == 0.0
 
@@ -113,7 +113,7 @@ class TestSensorController:
         v = 6.0
         watered = []
         for day in range(40):
-            a = ctl.decide(make_state([v])).action[0]
+            a = ctl.decide(make_obs([v])).action[0]
             watered.append(a > 0.0)
             v = predict_next(TREE1_MODEL, v, a, 0.0, 0.2)
         events = [d for d in range(40) if watered[d]]
@@ -157,30 +157,29 @@ class TestRlController:
     def test_matches_policy_mean(self):
         policy = policy_with_stats()
         ctl = RlController(policy)
-        state = make_state([5.3])
-        expected = policy.mean_action(
-            policy.norm_stats.apply(state_vector(state)))
-        d = ctl.decide(state)
+        obs = make_obs([5.3])
+        expected = policy.mean_action(policy.norm_stats.apply(obs))
+        d = ctl.decide(obs)
         assert np.array_equal(d.action, expected)
         assert d.source == SOURCE_AGENT
 
     def test_deterministic_and_bounded(self):
         ctl = RlController(policy_with_stats(seed=3))
-        state = make_state([6.1])
-        a1 = ctl.decide(state).action
-        a2 = ctl.decide(state).action
+        obs = make_obs([6.1])
+        a1 = ctl.decide(obs).action
+        a2 = ctl.decide(obs).action
         assert np.array_equal(a1, a2)
         assert np.all(a1 >= 0.0) and np.all(a1 <= A_MAX)
 
 
 class TestConstantController:
     def test_zero_by_default(self):
-        d = ConstantController(2).decide(make_state([5.0, 5.0]))
+        d = ConstantController(2).decide(make_obs([5.0, 5.0]))
         assert np.array_equal(d.action, [0.0, 0.0])
         assert d.source == SOURCE_AGENT
 
     def test_fixed_depth(self):
-        d = ConstantController(2, depth=0.2).decide(make_state([5.0, 5.0]))
+        d = ConstantController(2, depth=0.2).decide(make_obs([5.0, 5.0]))
         assert np.array_equal(d.action, [0.2, 0.2])
 
     def test_negative_depth_rejected(self):
@@ -189,8 +188,8 @@ class TestConstantController:
 
     def test_callers_cannot_corrupt_future_decisions(self):
         ctl = ConstantController(1, depth=0.3)
-        ctl.decide(make_state([5.0])).action[0] = 99.0
-        assert ctl.decide(make_state([5.0])).action[0] == 0.3
+        ctl.decide(make_obs([5.0])).action[0] = 99.0
+        assert ctl.decide(make_obs([5.0])).action[0] == 0.3
 
 
 class TestShieldedController:
@@ -202,7 +201,7 @@ class TestShieldedController:
         fallback = EtController(n_regions=1, a_max=A_MAX)
         ctl = ShieldedController(inner, self.shield(), fallback)
         # v_hat = 0.973*4.8 - 0.103*0.15 + 0.003 = 4.65795 < 4.726
-        d = ctl.decide(make_state([4.8], et=0.15, et_next=0.15))
+        d = ctl.decide(make_obs([4.8], et=0.15, et_next=0.15))
         assert d.source == SOURCE_SHIELD
         assert d.report.triggered
         # ET's 0.15 in is itself predicted unsafe (4.65795 + 0.288*0.15 =
@@ -218,7 +217,7 @@ class TestShieldedController:
         inner = ConstantController(1, depth=0.0)
         fallback = EtController(n_regions=1, a_max=A_MAX)
         ctl = ShieldedController(inner, self.shield(), fallback)
-        d = ctl.decide(make_state([6.5], et_next=0.15))
+        d = ctl.decide(make_obs([6.5], et_next=0.15))
         assert d.source == SOURCE_AGENT
         assert np.array_equal(d.action, [0.0])
         assert not d.report.triggered
@@ -229,7 +228,7 @@ class TestShieldedController:
         fallback = EtController(n_regions=1, a_max=A_MAX)
         ctl = ShieldedController(inner, self.shield(), fallback)
         for v in (4.8, 6.5):
-            assert ctl.decide(make_state([v])).report is not None
+            assert ctl.decide(make_obs([v])).report is not None
 
     def test_keeps_inner_name(self):
         inner = EtController(n_regions=1, a_max=A_MAX)

@@ -9,43 +9,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orchardrl.env import (
-    EnvConfig,
-    EnvState,
+    OBS_ET,
+    OBS_FORECAST_PRECIP_NEXT,
+    OBS_PRECIP,
+    OBS_PREDICTED_ET_NEXT,
     IrrigationEnv,
     NormalizationStats,
     RewardParams,
-    VecIrrigationEnv,
-    normalize,
+    channel,
     reward,
-    reward_mad_only,
-    state_vector,
+    soil_water,
 )
 from orchardrl.hydrology import SoilLevels, derive_levels
 from orchardrl.hydrology import testbed_profile as orchard_profile
 from orchardrl.predictor import TREE1_MODEL, predict_next
-from orchardrl.weather import WeatherDay, synthesize_season
+from orchardrl.runconfig import (
+    build_env_config,
+    build_training_weather,
+    default_run_config,
+)
+from orchardrl.weather import synthesize_season
 
-from conftest import default_env_config
+from conftest import default_env_config, flat_season, obs_row
 
 LEVELS = SoilLevels(v_pwp=2.362, v_awc=4.728, v_mad=4.726, v_fc=7.09)
 PARAMS = RewardParams()
-
-
-def flat_season(n, et=0.15, precip=0.0, start=dt.date(2020, 3, 1)):
-    """n records with constant weather and exact next-day forecasts."""
-    et_seq = [et] * n if np.isscalar(et) else list(et)
-    p_seq = [precip] * n if np.isscalar(precip) else list(precip)
-    days = []
-    for i in range(n):
-        has_next = i + 1 < n
-        days.append(WeatherDay(
-            date=start + dt.timedelta(days=i),
-            et=et_seq[i], precip=p_seq[i],
-            t_max=75.0, t_avg=65.0, t_min=55.0,
-            h_max=90.0, h_avg=70.0, h_min=50.0, solar=500.0, wind=3.0,
-            predicted_et_next=et_seq[i + 1] if has_next else 0.0,
-            forecast_precip_next=p_seq[i + 1] if has_next else 0.0))
-    return days
+MAD_ONLY = dataclasses.replace(PARAMS, kind="mad-only")
 
 
 class TestReward:
@@ -123,14 +112,14 @@ class TestReward:
 
 class TestRewardMadOnly:
     def test_matches_full_reward_deficit_branch(self):
-        assert reward_mad_only(np.array([4.5]), np.array([0.3]), LEVELS, PARAMS) \
+        assert reward(np.array([4.5]), np.array([0.3]), LEVELS, MAD_ONLY) \
             == pytest.approx(-2.56, abs=1e-9)
 
     def test_in_band_is_free(self):
-        assert reward_mad_only(np.array([5.5]), np.array([0.54]), LEVELS, PARAMS) == 0.0
+        assert reward(np.array([5.5]), np.array([0.54]), LEVELS, MAD_ONLY) == 0.0
 
     def test_over_irrigation_is_free(self):
-        assert reward_mad_only(np.array([8.0]), np.array([1.0]), LEVELS, PARAMS) == 0.0
+        assert reward(np.array([8.0]), np.array([1.0]), LEVELS, MAD_ONLY) == 0.0
 
 
 class TestEnvConfig:
@@ -152,18 +141,20 @@ class TestEnvConfig:
             RewardParams(kind="banana")
 
 
+
+
 class TestReset:
     def test_deterministic_per_seed(self):
         env = IrrigationEnv(default_env_config(), flat_season(40))
-        v_a = env.reset(seed=5).v.copy()
-        env.step(np.array([0.1, 0.1]))
-        v_b = env.reset(seed=5).v.copy()
-        assert np.array_equal(v_a, v_b)
+        first = env.reset([5])
+        env.step(np.array([[0.1, 0.1]]))
+        assert np.array_equal(env.reset([5]), first)
 
     def test_initial_band_moments(self):
         cfg = default_env_config()
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=0)
-        draws = np.concatenate([env.reset().v for _ in range(10_000)])
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
+        env.reset(range(10_000))
+        draws = env.v.ravel()
         lv = cfg.levels
         assert draws.min() >= lv.v_mad
         assert draws.max() <= lv.v_fc
@@ -173,25 +164,55 @@ class TestReset:
     def test_degenerate_band_collapses(self):
         profile = dataclasses.replace(orchard_profile(), mad_fraction=1.0)
         cfg = default_env_config(profile=profile)
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=0)
-        lv = derive_levels(profile)
-        for _ in range(5):
-            assert np.all(env.reset().v == lv.v_fc)
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
+        env.reset(range(5))
+        assert np.all(env.v == derive_levels(profile).v_fc)
 
     def test_day_counter_cleared(self):
-        env = IrrigationEnv(default_env_config(), flat_season(40))
-        env.reset(seed=1)
-        env.step(np.array([0.0, 0.0]))
-        assert env.reset(seed=1).day_in_episode == 0
+        cfg = default_env_config()
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
+        first = env.reset([1])
+        env.step(np.zeros((1, 2)))
+        assert np.array_equal(env.reset([1]), first)
+        for _ in range(cfg.episode_length):
+            env.step(np.zeros((1, 2)))
 
     def test_weather_too_short(self):
         cfg = default_env_config()
         with pytest.raises(ValueError, match="episode_length"):
             IrrigationEnv(cfg, flat_season(cfg.episode_length))
 
+    def test_windows_with_a_missing_date_rejected(self):
+        cfg = default_env_config(episode_length=5)
+        weather = flat_season(11)
+        del weather[5]       # two runs of 5 consecutive dates, none of 6
+        with pytest.raises(ValueError, match="consecutive"):
+            IrrigationEnv(cfg, weather)
+        weather = flat_season(12, et=np.linspace(0.1, 0.2, 12))
+        del weather[5]       # the second run has 6 dates: one allowed start
+        obs = IrrigationEnv(cfg, weather).reset(range(5))
+        assert np.all(obs[:, 2] == weather[5].et)
 
-def make_point_env(v0=5.0, et=0.15, precip=0.0, days=4, **overrides):
-    """1-region env whose reset lands exactly at v0 (collapsed band)."""
+    def test_training_episodes_never_cross_a_season_gap(self):
+        # the synthetic corpus is several March-October seasons back to
+        # back; an episode that crossed from one into the next would jump
+        # from October or November to March
+        run = default_run_config()
+        cfg = build_env_config(run, episode_length=run.trainer.episode_length)
+        env = IrrigationEnv(cfg, build_training_weather(run))
+        obs = env.reset(range(1000))
+        months = [obs[:, -12:].argmax(axis=1)]
+        zeros = np.zeros_like(env.v)
+        for _ in range(cfg.episode_length):
+            obs, _ = env.step(zeros)
+            months.append(obs[:, -12:].argmax(axis=1))
+        assert np.all(np.isin(np.diff(months, axis=0), (0, 1)))
+
+
+def make_point_env(v0=5.0, et=0.15, precip=0.0, days=4,
+                   start=dt.date(2020, 3, 1), **overrides):
+    """1-region, 1-episode env whose reset lands exactly at v0 (collapsed
+    band)."""
     profile = dataclasses.replace(
         orchard_profile(),
         awc_per_foot=(v0 - 1.2) / 2.0, pwp_fraction=0.05,
@@ -200,137 +221,133 @@ def make_point_env(v0=5.0, et=0.15, precip=0.0, days=4, **overrides):
     cfg = default_env_config(
         n_regions=1, profile=profile, dynamics=(TREE1_MODEL,),
         process_noise_std=0.0, episode_length=days - 1, **overrides)
-    env = IrrigationEnv(cfg, flat_season(days, et=et, precip=precip))
-    env.reset(seed=0)
+    env = IrrigationEnv(cfg, flat_season(days, et=et, precip=precip,
+                                         start=start))
+    env.reset([0])
     return env
+
+
+def month_of(obs):
+    return int(obs[0, -12:].argmax()) + 1
 
 
 class TestStep:
     def test_tree1_hand_value(self):
         env = make_point_env(v0=5.0, et=0.15, precip=0.0)
-        tr = env.step(np.array([0.3]))
-        assert tr.next_state.v[0] == pytest.approx(4.93895, abs=1e-12)
+        env.step(np.array([[0.3]]))
+        assert env.v[0, 0] == pytest.approx(4.93895, abs=1e-12)
 
     def test_zero_action_strictly_drains(self):
         cfg = default_env_config(process_noise_std=0.0)
         env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1, et=0.15))
-        state = env.reset(seed=2)
+        env.reset([2])
         for _ in range(10):
-            tr = env.step(np.zeros(2))
-            assert np.all(tr.next_state.v < state.v)
-            state = tr.next_state
+            v = env.v
+            env.step(np.zeros((1, 2)))
+            assert np.all(env.v < v)
 
     def test_precip_action_interchangeable(self):
         env_a = make_point_env(v0=5.5, et=0.15, precip=0.15)
         env_b = make_point_env(v0=5.5, et=0.15, precip=0.05)
-        v_a = env_a.step(np.array([0.10])).next_state.v[0]
-        v_b = env_b.step(np.array([0.20])).next_state.v[0]
-        assert v_a == pytest.approx(v_b, abs=1e-12)
+        env_a.step(np.array([[0.10]]))
+        env_b.step(np.array([[0.20]]))
+        assert env_a.v[0, 0] == pytest.approx(env_b.v[0, 0], abs=1e-12)
 
     def test_process_noise_respects_bounds(self):
         cfg = default_env_config(process_noise_std=0.5)
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=3)
-        env.reset()
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
+        env.reset([3, 4])
         for _ in range(cfg.episode_length):
-            tr = env.step(np.array([0.54, 0.54]))
-            assert np.all(tr.next_state.v >= 0.0)
-            assert np.all(tr.next_state.v <= cfg.saturation_cap)
+            env.step(np.full((2, 2), 0.54))
+            assert np.all(env.v >= 0.0)
+            assert np.all(env.v <= cfg.saturation_cap)
 
     def test_counters_and_calendar_advance(self):
-        env = make_point_env(days=4, et=0.1)
         # season starts March 30 so the third record crosses into April
-        env.weather = flat_season(4, et=0.1, start=dt.date(2020, 3, 30))
-        state = env.reset(seed=0)
-        assert (state.day_in_episode, state.month) == (0, 3)
-        tr = env.step(np.array([0.1]))
-        assert (tr.next_state.day_in_episode, tr.next_state.month) == (1, 3)
-        tr = env.step(np.array([0.1]))
-        assert (tr.next_state.day_in_episode, tr.next_state.month) == (2, 4)
+        env = make_point_env(days=4, et=0.1, start=dt.date(2020, 3, 30))
+        assert month_of(env.reset([0])) == 3
+        months = [month_of(env.step(np.array([[0.1]]))[0]) for _ in range(3)]
+        assert months == [3, 4, 4]
+        with pytest.raises(RuntimeError, match="exhausted"):
+            env.step(np.array([[0.1]]))
 
     def test_reward_uses_post_step_moisture(self):
         env = make_point_env(v0=5.0, et=0.15)
-        tr = env.step(np.array([0.3]))
+        _, r = env.step(np.array([[0.3]]))
         # v_next 4.93895 sits below this env's collapsed v_mad = 5.0
         lv = env.config.levels
         expect = -(10.0 * (lv.v_mad - 4.93895) + 1.0 * 0.3)
-        assert tr.reward == pytest.approx(expect, abs=1e-9)
+        assert r[0] == pytest.approx(expect, abs=1e-9)
 
     def test_action_shape_checked(self):
         env = make_point_env()
         with pytest.raises(ValueError, match="shape"):
-            env.step(np.array([0.1, 0.1]))
+            env.step(np.array([[0.1, 0.1]]))
 
     def test_action_bounds_checked(self):
         env = make_point_env()
         with pytest.raises(ValueError, match="outside"):
-            env.step(np.array([0.6]))
+            env.step(np.array([[0.6]]))
         with pytest.raises(ValueError, match="outside"):
-            env.step(np.array([-0.1]))
+            env.step(np.array([[-0.1]]))
 
     def test_step_before_reset_rejected(self):
         cfg = default_env_config()
         env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
         with pytest.raises(RuntimeError, match="reset"):
-            env.step(np.zeros(2))
+            env.step(np.zeros((1, 2)))
 
     def test_episode_exhaustion(self):
         env = make_point_env(days=3)  # 2 control days
-        env.step(np.array([0.1]))
-        env.step(np.array([0.1]))
+        env.step(np.array([[0.1]]))
+        env.step(np.array([[0.1]]))
         with pytest.raises(RuntimeError, match="exhausted"):
-            env.step(np.array([0.1]))
+            env.step(np.array([[0.1]]))
 
     def test_saturation_cap_binds(self):
         # conserving dynamics with heavy rain pile water onto the cap
         from orchardrl.predictor import PredictorModel
         wet = PredictorModel(c1=1.0, c2=1.0, c3=0.0, b=0.0)
-        profile = orchard_profile()
         cfg = default_env_config(n_regions=1, dynamics=(wet,),
                                  process_noise_std=0.0, episode_length=8)
         env = IrrigationEnv(cfg, flat_season(9, et=0.1, precip=1.4))
-        env.reset(seed=1)
+        env.reset([1])
         for _ in range(8):
-            tr = env.step(np.array([0.54]))
-        assert tr.next_state.v[0] == pytest.approx(cfg.saturation_cap)
+            env.step(np.array([[0.54]]))
+        assert env.v[0, 0] == pytest.approx(cfg.saturation_cap)
 
 
 class TestStateVector:
+    """The observation row layout every controller reads."""
+
     def test_layout(self):
         season = flat_season(3, et=0.2, precip=0.1)
-        state = EnvState(v=np.array([5.0, 6.0]), weather_today=season[0],
-                         month=3, day_in_episode=0)
-        vec = state_vector(state)
-        assert vec.shape == (26,)
-        assert list(vec[:2]) == [5.0, 6.0]
+        cfg = default_env_config(episode_length=2)
+        env = IrrigationEnv(cfg, season)
+        vec = env.reset([0])[0]
+        assert vec.shape == (26,) == (cfg.obs_dim,)
+        assert np.array_equal(vec[:2], env.v[0])
+        assert np.array_equal(soil_water(vec), env.v[0])
         assert tuple(vec[2:12]) == season[0].numeric_channels
         assert vec[12] == season[0].predicted_et_next
         assert vec[13] == season[0].forecast_precip_next
         one_hot = vec[14:]
         assert one_hot[2] == 1.0 and one_hot.sum() == 1.0
-
-    def test_state_validation(self):
-        season = flat_season(2)
-        with pytest.raises(ValueError):
-            EnvState(v=np.array([5.0]), weather_today=season[0], month=13,
-                     day_in_episode=0)
-        with pytest.raises(ValueError):
-            EnvState(v=np.array([-1.0]), weather_today=season[0], month=3,
-                     day_in_episode=0)
+        assert np.array_equal(vec, obs_row(soil_water(vec), season[0]))
+        assert channel(vec, OBS_ET) == season[0].et
+        assert channel(vec, OBS_PRECIP) == season[0].precip
+        assert channel(vec, OBS_PREDICTED_ET_NEXT) == season[0].predicted_et_next
+        assert channel(vec, OBS_FORECAST_PRECIP_NEXT) == season[0].forecast_precip_next
 
 
 class TestNormalization:
     def sample_states(self, n=40):
         cfg = default_env_config()
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=4)
-        vecs = []
-        state = env.reset()
-        for _ in range(n):
-            vecs.append(state_vector(state))
-            tr = env.step(np.array([0.2, 0.2]))
-            state = tr.next_state
-            if state.day_in_episode == cfg.episode_length:
-                state = env.reset()
-        return cfg, np.array(vecs)
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
+        rows = [env.reset(range(4, 6))]
+        for _ in range(n // 2 - 1):
+            rows.append(env.step(np.full((2, 2), 0.2))[0])
+        return cfg, np.concatenate(rows)
 
     def test_corpus_mean_maps_to_zero(self):
         cfg, vecs = self.sample_states()
@@ -348,7 +365,7 @@ class TestNormalization:
         assert np.array_equal(out[n_cont:], vecs[0][n_cont:])
 
     def test_identity_idempotent(self):
-        cfg, vecs = self.sample_states(5)
+        cfg, vecs = self.sample_states(6)
         stats = NormalizationStats.identity(cfg.obs_dim - 12)
         once = stats.apply(vecs[0])
         assert np.array_equal(stats.apply(once), once)
@@ -378,21 +395,37 @@ class TestNormalization:
 
     def test_normalize_denormalize_helpers(self):
         cfg = default_env_config()
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1), seed=6)
-        state = env.reset()
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
+        obs = env.reset([6])
         stats = NormalizationStats.identity(cfg.obs_dim - 12)
-        vec = normalize(state, stats)
-        assert np.allclose(stats.invert(vec), state_vector(state))
+        assert np.allclose(stats.invert(stats.apply(obs)), obs)
+
+
+def reference_reward(v_next, a, levels, params):
+    """The three-branch reward, one region at a time."""
+    total = 0.0
+    for v_i, a_i in zip(v_next, a):
+        stress = params.lambda3 * (levels.v_mad - v_i) + params.mu3 * a_i
+        if params.kind == "mad-only":
+            total += stress if v_i < levels.v_mad else 0.0
+        elif v_i > levels.v_fc:
+            total += params.lambda1 * (v_i - levels.v_fc) + params.mu1 * a_i
+        elif v_i >= levels.v_mad:
+            total += params.mu2 * a_i
+        else:
+            total += stress
+    return -total
 
 
 class TestVecIrrigationEnv:
+    """The batched environment: E episodes in lockstep."""
+
     SEEDS = (3, 17, 29, 101, 2024)
 
-    def scalar_and_vec(self, reward_kind, n_regions=3):
+    def env(self, reward_kind="full", n_regions=3):
         cfg = default_env_config(n_regions=n_regions, process_noise_std=0.05,
                                  reward_kind=reward_kind)
-        weather = synthesize_season(4, 120)
-        return IrrigationEnv(cfg, weather), VecIrrigationEnv(cfg, weather)
+        return IrrigationEnv(cfg, synthesize_season(4, 120))
 
     def fixed_actions(self, cfg, n_episodes):
         """Random doses, plus one episode flooded and one left dry so every
@@ -406,8 +439,12 @@ class TestVecIrrigationEnv:
 
     @pytest.mark.parametrize("reward_kind", ["full", "mad-only"])
     def test_matches_scalar_episodes(self, reward_kind):
-        env, vec = self.scalar_and_vec(reward_kind)
-        cfg = env.config
+        # each episode replays, bit for bit, a one-region-at-a-time
+        # predict_next loop fed by its seed's draws in reset order: start
+        # record, initial soil water, then the whole noise block
+        vec = self.env(reward_kind)
+        cfg = vec.config
+        weather = synthesize_season(4, 120)
         actions = self.fixed_actions(cfg, len(self.SEEDS))
         obs = [vec.reset(self.SEEDS)]
         soil, rewards = [vec.v], []
@@ -416,15 +453,25 @@ class TestVecIrrigationEnv:
             obs.append(o)
             soil.append(vec.v)
             rewards.append(r)
+        n, L = len(cfg.dynamics), cfg.episode_length
+        cap, std = cfg.saturation_cap, cfg.plant.process_noise_std
         for e, seed in enumerate(self.SEEDS):
-            state = env.reset(seed=seed)
-            assert np.array_equal(obs[0][e], state_vector(state))
-            assert np.array_equal(soil[0][e], state.v)
+            rng = np.random.default_rng(seed)
+            start = int(rng.integers(0, len(weather) - L))
+            v = rng.uniform(cfg.levels.v_mad, cfg.levels.v_fc, size=n)
+            noise = rng.normal(0.0, std, size=(L, n))
+            assert np.array_equal(soil[0][e], v)
+            assert np.array_equal(obs[0][e], obs_row(v, weather[start]))
             for t, a in enumerate(actions):
-                tr = env.step(a[e])
-                assert np.array_equal(soil[t + 1][e], tr.next_state.v)
-                assert np.array_equal(obs[t + 1][e], state_vector(tr.next_state))
-                assert rewards[t][e] == pytest.approx(tr.reward, rel=0, abs=1e-12)
+                w = weather[start + t + 1]
+                v = np.array([predict_next(m, v_i, a_i, w.precip, w.et, cap=cap)
+                              for m, v_i, a_i in zip(cfg.dynamics, v, a[e])])
+                v = np.clip(v + noise[t], 0.0, cap)
+                assert np.array_equal(soil[t + 1][e], v)
+                assert np.array_equal(obs[t + 1][e], obs_row(v, w))
+                assert rewards[t][e] == pytest.approx(
+                    reference_reward(v, a[e], cfg.levels, cfg.reward),
+                    rel=0, abs=1e-12)
         soil = np.array(soil)
         assert np.any(soil > cfg.levels.v_fc) and np.any(soil < cfg.levels.v_mad)
 
@@ -433,30 +480,35 @@ class TestVecIrrigationEnv:
         cfg = default_env_config(process_noise_std=0.0)
         n = cfg.episode_length + 1
         weather = flat_season(n, et=np.linspace(0.1, 0.3, n))
-        obs = VecIrrigationEnv(cfg, weather).reset([1, 2])
         env = IrrigationEnv(cfg, weather)
-        for e, seed in enumerate((1, 2)):
-            state = env.reset(seed=seed)
-            assert state.weather_today == weather[0]
-            assert np.array_equal(obs[e], state_vector(state))
+        obs = env.reset([1, 2])
+        for e in range(2):
+            assert np.array_equal(obs[e], obs_row(env.v[e], weather[0]))
 
     def test_action_checks(self):
-        env, vec = self.scalar_and_vec("full", n_regions=2)
+        vec = self.env("full", n_regions=2)
         with pytest.raises(RuntimeError, match="reset"):
             vec.step(np.zeros((2, 2)))
         vec.reset([1, 2])
         with pytest.raises(ValueError, match="shape"):
             vec.step(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="outside"):
-            vec.step(np.full((2, 2), env.config.plant.a_max + 0.01))
+            vec.step(np.full((2, 2), vec.config.plant.a_max + 0.01))
         with pytest.raises(ValueError, match="outside"):
             vec.step(np.full((2, 2), -0.1))
-        for _ in range(env.config.episode_length):
+        for _ in range(vec.config.episode_length):
             vec.step(np.zeros((2, 2)))
         with pytest.raises(RuntimeError, match="exhausted"):
             vec.step(np.zeros((2, 2)))
 
+    def test_applied_actions_are_clipped(self):
+        vec = self.env("full", n_regions=2)
+        vec.reset([1])
+        a_max = vec.config.plant.a_max
+        vec.step(np.array([[-1e-10, a_max + 1e-10]]))
+        assert np.array_equal(vec.a, [[0.0, a_max]])
+
     def test_weather_too_short(self):
         cfg = default_env_config()
         with pytest.raises(ValueError, match="episode_length"):
-            VecIrrigationEnv(cfg, flat_season(cfg.episode_length))
+            IrrigationEnv(cfg, flat_season(cfg.episode_length))

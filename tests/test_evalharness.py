@@ -1,6 +1,5 @@
 """Season runner: paired comparisons, metrics, result files."""
 
-import dataclasses
 import datetime as dt
 import json
 
@@ -25,16 +24,16 @@ from orchardrl.evalharness import (
     read_daily,
     read_summary,
     run_roster,
-    run_season,
     water_savings,
     write_results,
 )
 from orchardrl.runconfig import (
+    build_season_weather,
     build_shield_models,
     config_hash,
     default_run_config,
 )
-from orchardrl.weather import WeatherDay
+from orchardrl.software import software_environment
 
 
 def fake_result(daily_water, n_regions=2, soil=None, name="x"):
@@ -51,17 +50,19 @@ def fake_result(daily_water, n_regions=2, soil=None, name="x"):
         deficits=np.full(days, np.nan), triggered=np.zeros(days, dtype=bool))
 
 
-def flat_season(n, et=0.15, precip=0.0, start=dt.date(2020, 3, 1)):
-    days = []
-    for i in range(n):
-        has_next = i + 1 < n
-        days.append(WeatherDay(
-            date=start + dt.timedelta(days=i), et=et, precip=precip,
-            t_max=75.0, t_avg=65.0, t_min=55.0,
-            h_max=90.0, h_avg=70.0, h_min=50.0, solar=500.0, wind=3.0,
-            predicted_et_next=et if has_next else 0.0,
-            forecast_precip_next=precip if has_next else 0.0))
-    return days
+def run_season(run, controller, name="x"):
+    """One controller's season: a roster of one."""
+    return run_roster(run, {name: controller}).entries[name]
+
+
+class TestSoftwareEnvironment:
+    def test_blas_threads_follow_the_request(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert software_environment()["blas_threads"] == 3
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        env = software_environment()
+        assert env["blas_threads"] is None
+        assert set(env) == {"python", "numpy", "blas", "blas_threads", "machine"}
 
 
 class TestWaterSavings:
@@ -136,22 +137,22 @@ class TestRunSeason:
 
     def test_dates_follow_the_weather_calendar(self):
         run = default_run_config(days=8, seed=0)
-        entry = run_season(run, build_controller(run, "et"),
-                           weather=flat_season(9, start=dt.date(2021, 5, 1)))
-        assert entry.dates[0] == dt.date(2021, 5, 2)
-        assert entry.dates[-1] == dt.date(2021, 5, 9)
+        entry = run_season(run, build_controller(run, "et"))
+        start = run.climate.start
+        assert entry.dates[0] == start + dt.timedelta(days=1)
+        assert entry.dates[-1] == start + dt.timedelta(days=8)
+        assert entry.dates == [w.date for w in build_season_weather(run)[1:]]
 
     def test_shielded_season_logs_reports(self):
-        run = default_run_config(days=16, seed=5)
+        run = default_run_config(days=90, seed=9)
         inner = ConstantController(run.n_regions, 0.0)
         fallback = EtController(run.n_regions, run.env.a_max)
         ctl = ShieldedController(inner, build_shield_config(run), fallback)
-        entry = run_season(run, ctl, name="screened-zero",
-                           weather=flat_season(17, et=0.4))
+        entry = run_season(run, ctl)
         assert np.all(np.isfinite(entry.deficits))
         assert entry.shield_trigger_days >= 1
         assert SOURCE_SHIELD in entry.sources
-        for day in range(16):
+        for day in range(90):
             assert entry.triggered[day] == (entry.sources[day] == SOURCE_SHIELD)
 
 
@@ -177,6 +178,33 @@ class TestRunRoster:
         assert np.array_equal(exp_a.entries["et"].soil,
                               exp_b.entries["et"].soil)
         assert exp_a.config_fingerprint == exp_b.config_fingerprint
+
+    def test_roster_membership_does_not_change_a_season(self):
+        # default noisy plant and forecasts; the shielded entry also checks
+        # that per-day reports stay with their own controller
+        run = default_run_config(days=90, seed=9)
+
+        def screened_zero():
+            return ShieldedController(ConstantController(run.n_regions, 0.0),
+                                      build_shield_config(run),
+                                      EtController(run.n_regions, run.env.a_max))
+
+        alone = run_roster(run, {"a": screened_zero()}).entries["a"]
+        paired = run_roster(run, {"a": screened_zero(),
+                                  "b": build_controller(run, "sensor")}).entries["a"]
+        assert alone.shield_trigger_days > 0
+        for field in ("initial_v", "daily_water", "actions", "soil",
+                      "deficits", "triggered"):
+            assert np.array_equal(getattr(alone, field), getattr(paired, field),
+                                  equal_nan=field == "deficits"), field
+        assert alone.sources == paired.sources
+        assert alone.dates == paired.dates
+
+    def test_identical_controllers_get_identical_soil(self):
+        run = default_run_config(days=20, seed=10)
+        exp = run_roster(run, {"x": ConstantController(run.n_regions, 0.2),
+                               "y": ConstantController(run.n_regions, 0.2)})
+        assert np.array_equal(exp.entries["x"].soil, exp.entries["y"].soil)
 
     def test_empty_roster(self):
         run = default_run_config(days=5)
@@ -270,6 +298,7 @@ class TestResultFiles:
         assert manifest["controllers"] == ["et", "screened"]
         assert manifest["levels"]["v_mad"] == levels.v_mad
         assert manifest["levels"]["v_fc"] == levels.v_fc
+        assert manifest["software"] == software_environment()
 
     def test_empty_experiment_still_writes(self, tmp_path, levels):
         run = default_run_config(days=5)

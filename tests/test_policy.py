@@ -1,5 +1,7 @@
 """Squashed-Gaussian policy: distribution math, sampling, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from orchardrl.agent.policy import (
     load_policy,
 )
 from orchardrl.env import NormalizationStats
+from orchardrl.software import software_environment
 
 OBS_DIM = 6
 A_MAX = 0.54
@@ -224,6 +227,13 @@ class TestPersistence:
         path = tmp_path / "p.npz"
         policy.save(path)
         assert load_policy(path).norm_stats is None
+
+    def test_snapshot_records_software_environment(self, tmp_path):
+        path = tmp_path / "p.npz"
+        small_policy().save(path)
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+        assert meta["software"] == software_environment()
 
     def test_unknown_format_version_rejected(self, tmp_path):
         policy = small_policy()

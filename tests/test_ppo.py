@@ -1,7 +1,6 @@
 """Trainer internals: returns, clipped surrogate, gradients, convergence."""
 
 import csv
-import datetime as dt
 import math
 
 import numpy as np
@@ -29,28 +28,12 @@ from orchardrl.agent.ppo import (
     train,
     write_training_curve,
 )
-from orchardrl.env import IrrigationEnv, VecIrrigationEnv, state_vector
+from orchardrl.env import IrrigationEnv
 from orchardrl.predictor import PredictorModel
-from orchardrl.weather import WeatherDay
 
-from conftest import default_env_config
+from conftest import default_env_config, flat_season
 
 OBS_DIM = 5
-
-
-def flat_season(n, et=0.15, precip=0.0, start=dt.date(2020, 3, 1)):
-    """n records of constant weather with exact next-day forecasts."""
-    days = []
-    for i in range(n):
-        has_next = i + 1 < n
-        days.append(WeatherDay(
-            date=start + dt.timedelta(days=i),
-            et=et, precip=precip,
-            t_max=75.0, t_avg=65.0, t_min=55.0,
-            h_max=90.0, h_avg=70.0, h_min=50.0, solar=500.0, wind=3.0,
-            predicted_et_next=et if has_next else 0.0,
-            forecast_precip_next=precip if has_next else 0.0))
-    return days
 
 
 def small_policy(seed=0, hidden=(4,), n_regions=1, obs_dim=OBS_DIM):
@@ -352,21 +335,18 @@ class TestTrain:
                             max_iterations=150, convergence_window=10,
                             convergence_patience=3, warmup_episodes=4,
                             learning_rate=0.01)
-        policy, curve = train(cfg, VecIrrigationEnv(*conserving_season()), seed=0)
+        policy, curve = train(cfg, IrrigationEnv(*conserving_season()), seed=0)
         assert len(curve) <= cfg.max_iterations
         assert curve[-1].total_reward > curve[0].total_reward
-        env = IrrigationEnv(*conserving_season())
-        for seed in (100, 101, 102):
-            state = env.reset(seed=seed)
-            obs = policy.norm_stats.apply(state_vector(state))
-            assert policy.mean_action(obs)[0] < 0.01
+        obs = IrrigationEnv(*conserving_season()).reset([100, 101, 102])
+        assert np.all(policy.mean_action(policy.norm_stats.apply(obs)) < 0.01)
 
     def test_deterministic_for_fixed_seed(self):
         cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=2,
                             episode_length=4, minibatch_size=16,
                             max_iterations=3, convergence_window=2,
                             warmup_episodes=2)
-        env = VecIrrigationEnv(*conserving_season(et=0.1, episode_length=4))
+        env = IrrigationEnv(*conserving_season(et=0.1, episode_length=4))
         pol_a, curve_a = train(cfg, env, seed=7)
         pol_b, curve_b = train(cfg, env, seed=7)
         assert np.array_equal(pol_a.get_flat_params(), pol_b.get_flat_params())
@@ -377,14 +357,14 @@ class TestTrain:
                             episode_length=4, minibatch_size=16,
                             max_iterations=2, convergence_window=2,
                             warmup_episodes=2)
-        env = VecIrrigationEnv(*conserving_season(et=0.1, episode_length=4))
+        env = IrrigationEnv(*conserving_season(et=0.1, episode_length=4))
         pol_a, _ = train(cfg, env, seed=7)
         pol_b, _ = train(cfg, env, seed=8)
         assert not np.array_equal(pol_a.get_flat_params(),
                                   pol_b.get_flat_params())
 
     def test_normalization_stats_leave_month_one_hot_raw(self):
-        vec = VecIrrigationEnv(*conserving_season(et=0.1, episode_length=4))
+        vec = IrrigationEnv(*conserving_season(et=0.1, episode_length=4))
         cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=1,
                             episode_length=4, warmup_episodes=3)
         stats = _collect_normalization_stats(vec, cfg,
@@ -399,7 +379,7 @@ class TestTrain:
         env_cfg = default_env_config(n_regions=1, dynamics=(model,),
                                      process_noise_std=0.0, episode_length=4,
                                      surplus_headroom=5.0)
-        vec = VecIrrigationEnv(env_cfg, flat_season(5))
+        vec = IrrigationEnv(env_cfg, flat_season(5))
         cfg = TrainerConfig(hidden=(4,), episodes_per_iteration=3,
                             episode_length=4, warmup_episodes=2, gamma=1.0)
         rng = np.random.default_rng(0)
