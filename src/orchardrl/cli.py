@@ -3,7 +3,8 @@
 Subcommands: synth-weather (emit a synthetic season CSV), identify (fit the
 water-balance model from an observation log), train (optimize a policy and
 persist it), evaluate (one controller over a season), compare (the full
-paired roster with savings and stress metrics).  Exit status 0 on success,
+paired roster with savings and stress metrics; --measurement evaluates with
+exact forecasts and a noise-free plant).  Exit status 0 on success,
 2 on usage errors, 1 on runtime failures.
 """
 
@@ -25,14 +26,12 @@ from .runconfig import (
     config_hash,
     default_run_config,
     load_config,
+    measurement_run,
     save_config,
     to_json_dict,
     with_reward_kind,
 )
 from .weather import synthesize_season, write_weather_csv
-
-RL_CONTROLLERS = ("rl", "rl-mad", "rl-noshield")
-CONTROLLER_CHOICES = evalharness.ROSTER_NAMES + ("zero",)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -55,8 +54,6 @@ def load_run(args) -> RunConfig:
         updates["out_dir"] = args.out
     if getattr(args, "reward", None):
         updates["reward"] = dataclasses.replace(run.reward, kind=args.reward)
-    if getattr(args, "no_shield", False):
-        updates["shield"] = dataclasses.replace(run.shield, enabled=False)
     return dataclasses.replace(run, **updates) if updates else run
 
 
@@ -126,7 +123,7 @@ def cmd_evaluate(args) -> int:
     run = load_run(args)
     levels = evalharness.build_levels(run)
     policy = None
-    if args.controller in RL_CONTROLLERS:
+    if args.controller in evalharness.POLICY_NAMES:
         kind = "mad-only" if args.controller == "rl-mad" else run.reward.kind
         policy = obtain_policy(with_reward_kind(run, kind), args.policy,
                                args.controller)
@@ -144,17 +141,17 @@ def cmd_compare(args) -> int:
     policy = obtain_policy(run, args.policy, "rl")
     policy_mad = obtain_policy(with_reward_kind(run, "mad-only"), args.policy_mad,
                                "rl-mad")
+    season = measurement_run(run) if args.measurement else run
     controllers = {
-        "et": evalharness.build_controller(run, "et"),
-        "sensor": evalharness.build_controller(run, "sensor"),
-        "rl": evalharness.build_controller(run, "rl", policy=policy),
-        "rl-mad": evalharness.build_controller(run, "rl-mad", policy=policy_mad),
-        "rl-noshield": evalharness.build_controller(run, "rl-noshield", policy=policy),
-    }
-    result = evalharness.run_roster(run, controllers)
+        name: evalharness.build_controller(
+            season, name, policy=policy_mad if name == "rl-mad" else policy)
+        for name in evalharness.ROSTER_NAMES}
+    result = evalharness.run_roster(season, controllers)
     evalharness.write_results(run.out_dir, result, levels)
 
     et_entry = result.entries["et"]
+    print(f"\nseason {season.days} days, seed {season.seed}, "
+          f"{'measurement' if args.measurement else 'noisy'} setting")
     print(f"{'controller':12s} {'water_in':>9s} {'vs_et_%':>8s} "
           f"{'below_mad':>9s} {'above_fc':>8s} {'triggers':>8s}")
     for name, entry in result.entries.items():
@@ -162,6 +159,12 @@ def cmd_compare(args) -> int:
         savings = evalharness.water_savings(entry, et_entry)
         print(f"{name:12s} {entry.total_water:9.3f} {savings:8.2f} "
               f"{below:9d} {above:8d} {entry.shield_trigger_days:8d}")
+
+    below, in_band, above = evalharness.per_region_band_days(
+        result.entries["rl"], levels)
+    print("\nrl per-region day counts (below / in-band / above):")
+    for i in range(len(below)):
+        print(f"  region {i}: {below[i]:3d} / {in_band[i]:3d} / {above[i]:3d}")
     print(f"results -> {run.out_dir}")
     return 0
 
@@ -193,10 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run one controller over a season")
     _add_common(p)
-    p.add_argument("--controller", required=True, choices=CONTROLLER_CHOICES)
+    p.add_argument("--controller", required=True,
+                   choices=evalharness.CONTROLLER_NAMES)
     p.add_argument("--policy", help="policy snapshot (.npz) for rl controllers")
-    p.add_argument("--no-shield", action="store_true",
-                   help="disable the safety shield for this run")
     p.add_argument("--reward", choices=REWARD_KINDS,
                    help="reward to train against when an rl controller has no "
                         "--policy (rl-mad always trains on mad-only)")
@@ -206,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--policy", help="policy snapshot for rl / rl-noshield")
     p.add_argument("--policy-mad", help="policy snapshot for rl-mad")
-    p.add_argument("--no-shield", action="store_true",
-                   help="disable the safety shield for the rl rows")
+    p.add_argument("--measurement", action="store_true",
+                   help="evaluate with exact forecasts and a noise-free plant; "
+                        "policies still train on the run as loaded")
     p.set_defaults(func=cmd_compare)
     return parser
 

@@ -41,8 +41,6 @@ class EtController:
     depth to every region (centralized control), capped at a_max.
     """
 
-    name = "et"
-
     def __init__(self, n_regions: int, a_max: float):
         self.n_regions = n_regions
         self.a_max = a_max
@@ -92,8 +90,6 @@ class SensorController:
     defect.
     """
 
-    name = "sensor"
-
     def __init__(self, config: SensorControllerConfig, fill_gain: float,
                  a_max: float):
         if fill_gain <= 0:
@@ -116,8 +112,6 @@ class RlController:
     The policy must carry the normalization statistics it was trained with.
     """
 
-    name = "rl"
-
     def __init__(self, policy: SquashedGaussianPolicy):
         if policy.norm_stats is None:
             raise ValueError("policy has no normalization statistics attached")
@@ -132,8 +126,6 @@ class RlController:
 class ConstantController:
     """Fixed-depth controller; the zero-depth case is the adversarial probe
     used to exercise the shield."""
-
-    name = "constant"
 
     def __init__(self, n_regions: int, depth: float = 0.0):
         if depth < 0:
@@ -158,7 +150,6 @@ class ShieldedController:
         self.inner = inner
         self.shield = shield
         self.fallback = fallback
-        self.name = getattr(inner, "name", "inner")
 
     def decide(self, obs: np.ndarray) -> ControllerDecision:
         proposal = self.inner.decide(obs)

@@ -42,7 +42,12 @@ from .runconfig import (
 from .safety import ShieldConfig
 from .software import software_environment
 
-ROSTER_NAMES = ("et", "sensor", "rl", "rl-mad", "rl-noshield")
+# Controllers that deploy a trained policy; rl-mad's is trained on the
+# mad-only reward, the others' on the run's.
+POLICY_NAMES = ("rl", "rl-mad", "rl-noshield")
+ROSTER_NAMES = ("et", "sensor") + POLICY_NAMES
+# zero is a diagnostic that never irrigates, outside the paired roster.
+CONTROLLER_NAMES = ROSTER_NAMES + ("zero",)
 
 
 @dataclass
@@ -156,13 +161,13 @@ def run_roster(run: RunConfig, controllers: dict[str, object],
 # -- controller construction -------------------------------------------------
 
 
-def build_shield_config(run: RunConfig, enabled: bool | None = None) -> ShieldConfig:
+def build_shield_config(run: RunConfig, enabled: bool = True) -> ShieldConfig:
     env_cfg = build_env_config(run)
     return ShieldConfig(
         model=build_shield_models(run),
         v_mad=env_cfg.levels.v_mad,
         detector_threshold=run.shield.detector_threshold,
-        enabled=run.shield.enabled if enabled is None else enabled,
+        enabled=enabled,
         cap=env_cfg.saturation_cap,
         a_max=run.env.a_max,
     )
@@ -172,11 +177,10 @@ def build_controller(run: RunConfig, name: str,
                      policy: SquashedGaussianPolicy | None = None):
     """Instantiate a roster controller by name.
 
-    rl and rl-mad wrap the policy in the shield (per the run's shield
-    settings); rl-noshield wraps it in a disabled shield so counterfactual
-    deficits still log.  rl-mad expects a policy trained under the ablated
-    reward (a run whose reward.kind is "mad-only"); the caller supplies the
-    right snapshot.
+    rl and rl-mad wrap the policy in the shield; rl-noshield wraps it in a
+    disabled shield so counterfactual deficits still log.  rl-mad expects a
+    policy trained under the ablated reward (a run whose reward.kind is
+    "mad-only"); the caller supplies the right snapshot.
     """
     et = EtController(run.n_regions, run.env.a_max)
     if name == "et":
@@ -186,19 +190,14 @@ def build_controller(run: RunConfig, name: str,
         fill_gain = build_shield_models(run)[0].c2
         return SensorController(run.sensor, fill_gain=fill_gain,
                                 a_max=run.env.a_max)
-    if name in ("rl", "rl-mad"):
+    if name in POLICY_NAMES:
         if policy is None:
             raise ValueError(f"controller '{name}' needs a trained policy")
-        return ShieldedController(RlController(policy),
-                                  build_shield_config(run), et)
-    if name == "rl-noshield":
-        if policy is None:
-            raise ValueError("controller 'rl-noshield' needs a trained policy")
-        return ShieldedController(RlController(policy),
-                                  build_shield_config(run, enabled=False), et)
+        shield = build_shield_config(run, enabled=name != "rl-noshield")
+        return ShieldedController(RlController(policy), shield, et)
     if name == "zero":
         return ConstantController(run.n_regions, 0.0)
-    raise ValueError(f"unknown controller '{name}' (choices: {ROSTER_NAMES + ('zero',)})")
+    raise ValueError(f"unknown controller '{name}' (choices: {CONTROLLER_NAMES})")
 
 
 def train_policy_for_run(run: RunConfig

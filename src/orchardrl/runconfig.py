@@ -7,7 +7,7 @@ path)``; an unknown key raises ValueError naming its section):
     seed            int     master seed; all randomness derives from it
     days            int     season length in control days
     n_regions       int     irrigation regions
-    out_dir         str     where results land
+    out_dir         str     where results land; not part of config_hash
     weather_csv     str?    daily weather log; null means synthetic weather.
                     The season is its first days + 1 usable records and
                     training uses only the records after them, so building
@@ -35,15 +35,11 @@ path)``; an unknown key raises ValueError naming its section):
                     warmup_episodes}
                     episode_length is that of training episodes; a
                     season's episode lasts its days
-    shield          {enabled, detector_threshold,
+    shield          {detector_threshold,
                     model: "env" | [{c1, c2, c3, b}, ...]}
     sensor          {lower_threshold, upper_threshold} of the sensor baseline
-    policy_path     str?    trained policy snapshot to evaluate
 
-The normalized observation layout (see the environment module) is
-[v per region, et, precip, t_max, t_avg, t_min, h_max, h_avg, h_min, solar,
-wind, predicted_et_next, forecast_precip_next, month one-hot(12)]; the month
-one-hot is never rescaled.
+The observation row layout is stated once, at env.OBS_EXTRA.
 """
 
 from __future__ import annotations
@@ -85,7 +81,6 @@ FORECAST_PRESETS = ("default", "exact")
 
 @dataclass(frozen=True)
 class ShieldSettings:
-    enabled: bool = True
     detector_threshold: float = 0.0
     # "env" borrows the simulator's ground-truth dynamics (exact-model
     # screening); otherwise one fitted model per region.
@@ -108,7 +103,6 @@ class RunConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     shield: ShieldSettings = field(default_factory=ShieldSettings)
     sensor: SensorControllerConfig = field(default_factory=SensorControllerConfig)
-    policy_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.days < 1 or self.n_regions < 1:
@@ -301,6 +295,9 @@ def load_config(path) -> RunConfig:
 
 
 def config_hash(run: RunConfig) -> str:
-    """Stable short fingerprint of the full configuration."""
-    canonical = json.dumps(to_json_dict(run), sort_keys=True)
+    """Stable short fingerprint of the experiment: the full configuration
+    except out_dir, which only says where its files land."""
+    doc = to_json_dict(run)
+    del doc["out_dir"]
+    canonical = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -202,13 +202,17 @@ class TestEvaluate:
 
     def test_shield_can_be_disabled(self, workdir, tiny_config, trained):
         out = workdir / "eval_noshield"
-        res = run_cli("evaluate", "--controller", "rl",
+        snapshot = str(trained[0] / "policy.npz")
+        res = run_cli("evaluate", "--controller", "rl-noshield",
                       "--config", tiny_config, "--out", str(out),
-                      "--policy", str(trained[0] / "policy.npz"),
-                      "--no-shield")
+                      "--policy", snapshot)
         assert res.returncode == 0, res.stderr
         summary = read_summary(out / "summary.csv")
-        assert summary["rl"]["shield_trigger_days"] == 0
+        assert summary["rl-noshield"]["shield_trigger_days"] == 0
+        # the controller is the one switch; the flag is gone
+        res = run_cli("evaluate", "--controller", "rl", "--config", tiny_config,
+                      "--out", str(out), "--policy", snapshot, "--no-shield")
+        assert res.returncode == 2
 
     def test_missing_snapshot_is_runtime_error(self, tiny_config, workdir):
         res = run_cli("evaluate", "--controller", "rl",
@@ -234,3 +238,30 @@ class TestCompare:
         et_line = next(line for line in res.stdout.splitlines()
                        if line.startswith("et "))
         assert " 0.00 " in et_line   # the baseline saves nothing on itself
+        assert "season 8 days, seed 0, noisy setting" in res.stdout
+
+    def test_measurement_setting(self, workdir, trained):
+        """--measurement evaluates the season of the same run with exact
+        forecasts and no process noise."""
+        snapshot = str(trained[0] / "policy.npz")
+        noisy = {k: v for k, v in TINY_CONFIG.items() if k != "env"}
+        exact = dict(TINY_CONFIG, forecast_noise="exact")
+        outputs = {}
+        for label, config, extra in (("noisy", noisy, ()),
+                                     ("measured", noisy, ("--measurement",)),
+                                     ("exact", exact, ())):
+            path = workdir / f"{label}.json"
+            path.write_text(json.dumps(config))
+            out = workdir / f"compare_{label}"
+            res = run_cli("compare", "--config", str(path), "--out", str(out),
+                          "--policy", snapshot, "--policy-mad", snapshot, *extra)
+            assert res.returncode == 0, res.stderr
+            outputs[label] = [(out / name).read_bytes()
+                              for name in ("summary.csv", "daily.csv")]
+            if label == "measured":
+                assert "season 8 days, seed 0, measurement setting" in res.stdout
+                assert ("rl per-region day counts (below / in-band / above):"
+                        in res.stdout)
+                assert "  region 1: " in res.stdout
+        assert outputs["measured"] == outputs["exact"]
+        assert outputs["measured"] != outputs["noisy"]

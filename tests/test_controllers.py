@@ -229,9 +229,3 @@ class TestShieldedController:
         ctl = ShieldedController(inner, self.shield(), fallback)
         for v in (4.8, 6.5):
             assert ctl.decide(make_obs([v])).report is not None
-
-    def test_keeps_inner_name(self):
-        inner = EtController(n_regions=1, a_max=A_MAX)
-        ctl = ShieldedController(inner, self.shield(),
-                                 ConstantController(1, depth=A_MAX))
-        assert ctl.name == "et"

@@ -240,7 +240,6 @@ class TestBuildController:
     def test_shield_config_follows_run_settings(self):
         run = default_run_config()
         cfg = build_shield_config(run)
-        assert cfg.enabled
         assert cfg.model == build_shield_models(run)
         forced_off = build_shield_config(run, enabled=False)
         assert not forced_off.enabled

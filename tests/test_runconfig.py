@@ -103,11 +103,12 @@ class TestJsonRoundTrip:
 
     def test_nested_sections_merge_over_defaults(self):
         run = from_json_dict({"trainer": {"max_iterations": 7},
-                              "shield": {"enabled": False},
+                              "shield": {"detector_threshold": 0.5},
                               "climate": {"start": "2021-04-01"}})
         assert run.trainer.max_iterations == 7
         assert run.trainer.gamma == 0.99
-        assert not run.shield.enabled
+        assert run.shield.detector_threshold == 0.5
+        assert run.shield.model == "env"
         assert run.climate.start == dt.date(2021, 4, 1)
 
     def test_unknown_top_level_key_rejected(self):
@@ -124,6 +125,12 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=r"unknown env keys: "
                            r"\['episode_length', 'irrigation_rate'\]"):
             from_json_dict({"env": {"episode_length": 3, "irrigation_rate": 99.0}})
+        # the rl-noshield controller is the unshielded run, and --policy
+        # passes a snapshot
+        with pytest.raises(ValueError, match=r"unknown shield keys: \['enabled'\]"):
+            from_json_dict({"shield": {"enabled": False}})
+        with pytest.raises(ValueError, match=r"unknown config keys: \['policy_path'\]"):
+            from_json_dict({"policy_path": "policy.npz"})
 
     @pytest.mark.parametrize("section, doc", [
         ("climate", {"climate": {"rainfall": 1.0}}),
@@ -210,6 +217,11 @@ class TestConfigHash:
         tweaked = dataclasses.replace(
             run, reward=dataclasses.replace(run.reward, mu2=4.0))
         assert config_hash(tweaked) != base
+
+    def test_ignores_out_dir(self):
+        # where a run writes its files is not part of the experiment
+        assert config_hash(default_run_config(out_dir="a")) == \
+            config_hash(default_run_config(out_dir="b"))
 
     def test_round_trip_preserves_hash(self):
         run = default_run_config(seed=5)

@@ -38,19 +38,6 @@ def run_script(name, argv):
     return runpy.run_path(str(SCRIPTS / name), run_name="script")["main"](argv)
 
 
-def test_run_comparison(tiny_run, tmp_path, capsys):
-    config, policy = tiny_run
-    rc = run_script("run_comparison.py", [
-        "--config", str(config), "--policy", str(policy),
-        "--policy-mad", str(policy), "--measurement", "--out", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "season 6 days" in out and "measurement setting" in out
-    assert "controller    water_in  vs_et_% below_mad" in out
-    assert "rl per-region day counts (below / in-band / above):" in out
-    assert (tmp_path / "summary.csv").is_file()
-
-
 def test_shield_ablation(tiny_run, capsys):
     config, policy = tiny_run
     rc = run_script("shield_ablation.py", ["--config", str(config),
