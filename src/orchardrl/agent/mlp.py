@@ -17,8 +17,7 @@ import numpy as np
 class Mlp:
     """Fully connected network: sizes = (n_in, hidden..., n_out)."""
 
-    def __init__(self, sizes: tuple[int, ...], seed: int | None = None,
-                 final_scale: float = 0.01):
+    def __init__(self, sizes: tuple[int, ...], seed: int | None = None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if any(s < 1 for s in sizes):
@@ -32,13 +31,9 @@ class Mlp:
             scale = 1.0 / math.sqrt(sizes[i])
             W = rng.normal(0.0, scale, size=(sizes[i], sizes[i + 1]))
             if i == n_layers - 1:
-                W *= final_scale
+                W *= 0.01
             self.weights.append(W)
             self.biases.append(np.zeros(sizes[i + 1]))
-
-    @property
-    def n_params(self) -> int:
-        return sum(W.size + b.size for W, b in zip(self.weights, self.biases))
 
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Batched forward pass; returns output and the per-layer

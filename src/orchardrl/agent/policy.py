@@ -54,7 +54,6 @@ class SquashedGaussianPolicy:
         self.log_std = np.full(n_regions, float(np.clip(init_log_std,
                                                         LOG_STD_MIN, LOG_STD_MAX)))
         self.norm_stats: NormalizationStats | None = None
-        self.format_version = SNAPSHOT_FORMAT_VERSION
         self.config_hash = ""
 
     # -- parameter bookkeeping -------------------------------------------
@@ -92,12 +91,6 @@ class SquashedGaussianPolicy:
     def squash(self, u: np.ndarray) -> np.ndarray:
         return self.a_max * 0.5 * (np.tanh(u) + 1.0)
 
-    def unsquash(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if np.any(a <= 0) or np.any(a >= self.a_max):
-            raise ValueError("squashed actions must lie strictly inside (0, a_max)")
-        return np.arctanh(2.0 * a / self.a_max - 1.0)
-
     def forward_mean(self, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Batched pre-squash means plus the backprop cache."""
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
@@ -109,51 +102,39 @@ class SquashedGaussianPolicy:
         return m, cache
 
     def mean_action(self, obs: np.ndarray) -> np.ndarray:
-        """Deterministic deployment action: the squashed network mean."""
+        """Deterministic deployment action for one observation row: the
+        squashed network mean."""
         m, _ = self.forward_mean(obs)
-        return self.squash(m[0] if np.asarray(obs).ndim == 1 else m)
+        return self.squash(m[0])
 
     def log_prob_from_mean(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Per-sample log-density of pre-squash samples u given means m,
         including the tanh-squash change-of-variables correction."""
-        u = np.atleast_2d(u)
-        m = np.atleast_2d(m)
         sigma = np.exp(self.log_std)
         z = (u - m) / sigma
         gauss = -0.5 * z ** 2 - self.log_std - _HALF_LOG_2PI
         jac = math.log(self.a_max / 2.0) + _log1m_tanh_sq(u)
         return np.sum(gauss - jac, axis=1)
 
-    def log_prob(self, obs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        m, _ = self.forward_mean(obs)
-        return self.log_prob_from_mean(np.atleast_2d(u), m)
-
     def sample(self, obs: np.ndarray, rng: np.random.Generator
-               ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-        """Draw actions for one observation or a (B, obs_dim) batch.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw actions for a (B, obs_dim) batch of observations.
 
-        Returns (action, pre_squash_sample, log_prob): for a 1-D observation
-        an (n_regions,) action and sample and a float, for a batch (B,
-        n_regions) arrays and (B,) log-probs.  The noise is one
-        standard-normal draw shaped like the means, so a batch of one
-        consumes the same stream as a single observation.  The pre-squash
-        sample is what rollout storage keeps, so later ratio computations
-        evaluate the exact same point.
+        Returns the (B, n_regions) actions and pre-squash samples and the
+        (B,) log-probs, from one standard-normal draw shaped like the means.
+        The pre-squash sample is what rollout storage keeps, so later ratio
+        computations evaluate the exact same point.
         """
         m, _ = self.forward_mean(obs)
         sigma = np.exp(self.log_std)
         u = m + sigma * rng.standard_normal(m.shape)
-        a = self.squash(u)
-        logp = self.log_prob_from_mean(u, m)
-        if np.ndim(obs) == 1:
-            return a[0], u[0], float(logp[0])
-        return a, u, logp
+        return self.squash(u), u, self.log_prob_from_mean(u, m)
 
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
         meta = {
-            "format_version": self.format_version,
+            "format_version": SNAPSHOT_FORMAT_VERSION,
             "config_hash": self.config_hash,
             "obs_dim": self.obs_dim,
             "n_regions": self.n_regions,

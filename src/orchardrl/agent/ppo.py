@@ -108,23 +108,19 @@ def _surrogate_terms(policy: SquashedGaussianPolicy, batch: RolloutBatch,
 
 
 def ppo_loss(batch: RolloutBatch, policy: SquashedGaussianPolicy,
-             epsilon: float, advantages: np.ndarray | None = None) -> float:
-    """Clipped-surrogate loss on a batch.
-
-    advantages default to the per-batch normalization of batch.returns; pass
-    them explicitly when minibatching so the normalization spans the full
-    collection batch.
-    """
+             epsilon: float, advantages: np.ndarray) -> float:
+    """Clipped-surrogate loss on a batch, one advantage per row.  When
+    minibatching, the advantages are normalized over the full collection
+    batch, not the minibatch."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    adv = normalized_advantages(batch.returns) if advantages is None else np.asarray(advantages, dtype=float)
-    *_, loss = _surrogate_terms(policy, batch, epsilon, adv)
+    *_, loss = _surrogate_terms(policy, batch, epsilon,
+                                np.asarray(advantages, dtype=float))
     return loss
 
 
 def ppo_loss_and_grads(batch: RolloutBatch, policy: SquashedGaussianPolicy,
-                       epsilon: float,
-                       advantages: np.ndarray | None = None
+                       epsilon: float, advantages: np.ndarray
                        ) -> tuple[float, list[np.ndarray]]:
     """Loss plus analytic gradients in policy.param_arrays order.
 
@@ -136,7 +132,7 @@ def ppo_loss_and_grads(batch: RolloutBatch, policy: SquashedGaussianPolicy,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    adv = normalized_advantages(batch.returns) if advantages is None else np.asarray(advantages, dtype=float)
+    adv = np.asarray(advantages, dtype=float)
     m, cache, logp, ratio, s_plain, s_clip, loss = _surrogate_terms(
         policy, batch, epsilon, adv)
 

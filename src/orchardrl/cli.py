@@ -23,6 +23,7 @@ from .env import REWARD_KINDS
 from .predictor import fit, load_observations_csv
 from .runconfig import (
     RunConfig,
+    build_env_config,
     config_hash,
     default_run_config,
     load_config,
@@ -58,9 +59,21 @@ def load_run(args) -> RunConfig:
 
 
 def obtain_policy(run: RunConfig, path: str | None, label: str):
-    """The snapshot at path, or a policy trained now on the run's reward."""
+    """The snapshot at path, checked against the run's shape and a_max, or
+    a policy trained now on the run's reward."""
     if path:
-        return load_policy(path)
+        policy = load_policy(path)
+        have = (policy.n_regions, policy.obs_dim)
+        want = (run.n_regions, build_env_config(run).obs_dim)
+        if have != want:
+            raise ValueError(
+                f"{path}: snapshot has {have[0]} regions and {have[1]} "
+                f"inputs; the run has {want[0]} regions and {want[1]} inputs")
+        if policy.a_max > run.env.a_max:
+            raise ValueError(
+                f"{path}: snapshot a_max {policy.a_max} exceeds the run's "
+                f"env.a_max {run.env.a_max}")
+        return policy
     print(f"[{label}] no policy snapshot given; training one "
           f"(reward={run.reward.kind}, seed={run.seed})", flush=True)
     policy, _ = evalharness.train_policy_for_run(run)

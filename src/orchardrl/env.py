@@ -176,8 +176,7 @@ class NormalizationStats:
 
     Applies only to the first n_continuous components (soil water, weather,
     forecasts); the month one-hot passes through untouched.  Components with
-    (near-)zero variance are centered but not scaled, so the affine inverse
-    is always exact.
+    (near-)zero variance are centered but not scaled.
     """
 
     mean: np.ndarray
@@ -194,10 +193,6 @@ class NormalizationStats:
         return self.mean.shape[0]
 
     @classmethod
-    def identity(cls, n_continuous: int) -> "NormalizationStats":
-        return cls(mean=np.zeros(n_continuous), std=np.ones(n_continuous))
-
-    @classmethod
     def from_samples(cls, vectors: np.ndarray, n_continuous: int,
                      eps: float = 1e-8) -> "NormalizationStats":
         X = np.asarray(vectors, dtype=float)[:, :n_continuous]
@@ -212,14 +207,6 @@ class NormalizationStats:
             raise ValueError("vector shorter than the normalized span")
         out = vec.copy()
         out[..., :self.n_continuous] = (vec[..., :self.n_continuous] - self.mean) / self.std
-        return out
-
-    def invert(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape[-1] < self.n_continuous:
-            raise ValueError("vector shorter than the normalized span")
-        out = vec.copy()
-        out[..., :self.n_continuous] = vec[..., :self.n_continuous] * self.std + self.mean
         return out
 
 

@@ -109,8 +109,7 @@ def water_savings(candidate: ControllerResult, baseline: ControllerResult) -> fl
     return 100.0 * (baseline.total_water - candidate.total_water) / baseline.total_water
 
 
-def run_roster(run: RunConfig, controllers: dict[str, object],
-               days: int | None = None) -> ExperimentResult:
+def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResult:
     """Paired season comparison: each controller steps its own episode of one
     batched environment, all in lockstep.
 
@@ -119,21 +118,20 @@ def run_roster(run: RunConfig, controllers: dict[str, object],
     see identical initial soil water and noise streams, and a controller's
     season does not depend on which others share the roster.
     """
-    n_days = days or run.days
-    season = build_season_weather(run, days=n_days)
+    season = build_season_weather(run)
     names = list(controllers)
     E, n = len(names), run.n_regions
-    env = IrrigationEnv(build_env_config(run, episode_length=n_days), season)
+    env = IrrigationEnv(build_env_config(run), season)
     obs = env.reset([run.seed] * E)
 
     initial_v = env.v.copy()
-    actions = np.zeros((E, n_days, n))
-    soil = np.zeros((E, n_days, n))
+    actions = np.zeros((E, run.days, n))
+    soil = np.zeros((E, run.days, n))
     sources: list[list[str]] = [[] for _ in names]
-    deficits = np.full((E, n_days), np.nan)
-    triggered = np.zeros((E, n_days), dtype=bool)
+    deficits = np.full((E, run.days), np.nan)
+    triggered = np.zeros((E, run.days), dtype=bool)
 
-    for day in range(n_days):
+    for day in range(run.days):
         decisions = [controllers[name].decide(row) for name, row in zip(names, obs)]
         obs, _ = env.step(np.reshape([d.action for d in decisions], (E, n)))
         actions[:, day] = env.a
@@ -147,13 +145,13 @@ def run_roster(run: RunConfig, controllers: dict[str, object],
     dates = [w.date for w in season[1:]]
     entries = {
         name: ControllerResult(
-            name=name, season_days=n_days, initial_v=initial_v[e],
+            name=name, season_days=run.days, initial_v=initial_v[e],
             dates=list(dates), daily_water=actions[e].sum(axis=1),
             actions=actions[e],
             soil=soil[e], sources=sources[e], deficits=deficits[e],
             triggered=triggered[e])
         for e, name in enumerate(names)}
-    return ExperimentResult(season_days=n_days, seed=run.seed,
+    return ExperimentResult(season_days=run.days, seed=run.seed,
                             config_fingerprint=config_hash(run),
                             entries=entries)
 

@@ -95,19 +95,17 @@ def coefficient_table(models) -> np.ndarray:
 
 
 def predict_next_array(coef: np.ndarray, v, irrigation, precip, et,
-                       cap: float | None = None) -> np.ndarray:
-    """predict_next over arrays: coef is a coefficient_table, whose columns
-    line up with the last axis of v and irrigation, and every argument
-    broadcasts over leading axes.
+                       cap: float) -> np.ndarray:
+    """predict_next over arrays, capped at cap: coef is a coefficient_table,
+    whose columns line up with the last axis of v and irrigation, and every
+    argument broadcasts over leading axes.
 
     The arithmetic is predict_next's, term for term, so each element agrees
     with it bit for bit.
     """
     c1, c2, c3, b = coef
     out = np.maximum(c1 * v + c2 * (irrigation + precip) + c3 * et + b, 0.0)
-    if cap is not None:
-        out = np.minimum(out, cap)
-    return out
+    return np.minimum(out, cap)
 
 
 def diagnostics(model: PredictorModel,

@@ -19,7 +19,7 @@ path)``; an unknown key raises ValueError naming its section):
                     "default" scales with the season's mean ET
     climate         {start, t_base_f, t_amp_f, t_jitter_f, t_spread_f,
                     et_rel_noise, ..., precip_event_prob: [12 monthly
-                    probabilities], et_params: {gamma_c, ra, td}}
+                    probabilities], et_params: {gamma_c, td}}
                     overrides of the synthetic climate
     profile         {awc_per_foot, pwp_fraction, root_depth_feet,
                     root_depth_inches, sensor_depth_spans, mad_fraction}
@@ -37,6 +37,7 @@ path)``; an unknown key raises ValueError naming its section):
                     season's episode lasts its days
     shield          {detector_threshold,
                     model: "env" | [{c1, c2, c3, b}, ...]}
+                    a model list holds one entry per region
     sensor          {lower_threshold, upper_threshold} of the sensor baseline
 
 The observation row layout is stated once, at env.OBS_EXTRA.
@@ -77,6 +78,7 @@ from .weather import (
 )
 
 FORECAST_PRESETS = ("default", "exact")
+TRAINING_SEASONS = 4   # seasons in the synthetic training corpus
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,9 @@ class RunConfig:
             raise ValueError("days and n_regions must be >= 1")
         if len(self.dynamics) != self.n_regions:
             raise ValueError("need one dynamics model per region")
+        if self.shield.model != "env" and len(self.shield.model) != self.n_regions:
+            raise ValueError(f"shield.model has {len(self.shield.model)} models "
+                             f"for {self.n_regions} regions")
         if isinstance(self.forecast_noise, str) and self.forecast_noise not in FORECAST_PRESETS:
             raise ValueError(f"forecast_noise preset must be one of {FORECAST_PRESETS}")
 
@@ -163,34 +168,34 @@ def _csv_weather(run: RunConfig) -> list[WeatherDay]:
                             seed=run.seed)
 
 
-def build_season_weather(run: RunConfig, days: int | None = None) -> list[WeatherDay]:
+def build_season_weather(run: RunConfig) -> list[WeatherDay]:
     """Evaluation-season weather: days + 1 records (see env timeline).
 
     From CSV when configured (the first days + 1 usable records; the file
     must be long enough), synthetic otherwise.
     """
-    n_days = days or run.days
     if run.weather_csv is not None:
         season = _csv_weather(run)
-        if len(season) < n_days + 1:
+        if len(season) < run.days + 1:
             raise ValueError(
-                f"{run.weather_csv}: need {n_days + 1} usable records, "
+                f"{run.weather_csv}: need {run.days + 1} usable records, "
                 f"got {len(season)}"
             )
-        return season[:n_days + 1]
-    return synthesize_season(run.seed, n_days + 1, run.climate,
+        return season[:run.days + 1]
+    return synthesize_season(run.seed, run.days + 1, run.climate,
                              forecast_noise_model(run))
 
 
-def build_training_weather(run: RunConfig, n_seasons: int = 4) -> list[WeatherDay]:
+def build_training_weather(run: RunConfig) -> list[WeatherDay]:
     """Weather for episode sampling during training, disjoint in dates from
     the evaluation season.
 
     From CSV: the usable records after the season's days + 1, of which
-    there must be at least trainer.episode_length + 1.  Synthetic: a
-    multi-year corpus whose seasons take consecutive years before the
-    evaluation year, so dates stay strictly increasing; every season gets
-    its own derived seed.
+    there must be at least trainer.episode_length + 1.  Synthetic: a corpus
+    of TRAINING_SEASONS seasons of max(days, trainer.episode_length) + 1
+    records each, so every season holds a whole training episode; they take
+    consecutive years before the evaluation year, so dates stay strictly
+    increasing, and every season gets its own derived seed.
     """
     if run.weather_csv is not None:
         corpus = _csv_weather(run)[run.days + 1:]
@@ -203,15 +208,16 @@ def build_training_weather(run: RunConfig, n_seasons: int = 4) -> list[WeatherDa
             )
         return corpus
     rng = np.random.default_rng(run.seed)
-    seeds = [int(rng.integers(2 ** 32)) for _ in range(n_seasons)]
+    seeds = [int(rng.integers(2 ** 32)) for _ in range(TRAINING_SEASONS)]
     noise = forecast_noise_model(run)
+    n_records = max(run.days, run.trainer.episode_length) + 1
     corpus: list[WeatherDay] = []
-    first_year = run.climate.start.year - n_seasons
-    for k in range(n_seasons):
+    first_year = run.climate.start.year - TRAINING_SEASONS
+    for k in range(TRAINING_SEASONS):
         start = dt.date(first_year + k, run.climate.start.month,
                         run.climate.start.day)
         climate = replace(run.climate, start=start)
-        corpus.extend(synthesize_season(seeds[k], run.days + 1, climate, noise))
+        corpus.extend(synthesize_season(seeds[k], n_records, climate, noise))
     return corpus
 
 

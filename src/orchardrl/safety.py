@@ -21,8 +21,7 @@ another region's predicted deficit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,54 +38,34 @@ from .predictor import PredictorModel, coefficient_table, predict_next_array
 class ShieldConfig:
     """Shield settings: learned dynamics, stress level, detector tuning.
 
-    model may be a single PredictorModel (shared by all regions) or one per
-    region; it is the shield's own fitted model, distinct from the
-    simulator's ground-truth dynamics.  cap, when given, saturates the
-    shield's predictions the same way the simulator saturates true storage.
-    a_max, when given, caps the corrected dose on a takeover, since the
-    valves cannot apply more.
+    model holds one PredictorModel per region: the shield's own fitted
+    models, distinct from the simulator's ground-truth dynamics.  cap
+    saturates the shield's predictions the same way the simulator saturates
+    true storage; a_max caps the corrected dose on a takeover, since the
+    valves cannot apply more.  coef is the models' coefficient table, built
+    once here.
     """
 
-    model: PredictorModel | tuple[PredictorModel, ...] | None
+    model: tuple[PredictorModel, ...]
     v_mad: float
+    cap: float
+    a_max: float
     detector_threshold: float = 0.0
     enabled: bool = True
-    cap: float | None = None
-    a_max: float | None = None
+    coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.model:
+            raise ValueError("shield needs one fitted PredictorModel per region")
         if self.detector_threshold < 0:
             raise ValueError("detector_threshold must be nonnegative")
         if self.v_mad < 0:
             raise ValueError("v_mad must be nonnegative")
-        if self.a_max is not None and self.a_max < 0:
+        if self.a_max < 0:
             raise ValueError("a_max must be nonnegative")
-
-    def models_for(self, n_regions: int) -> tuple[PredictorModel, ...]:
-        if self.model is None:
-            raise ValueError("shield model is unfitted; provide a PredictorModel")
-        if isinstance(self.model, PredictorModel):
-            return (self.model,) * n_regions
-        models = tuple(self.model)
-        if len(models) != n_regions:
-            raise ValueError(
-                f"shield has {len(models)} models for {n_regions} regions"
-            )
-        return models
-
-    def coefficients(self, n_regions: int) -> np.ndarray:
-        """Rows c1, c2, c3, b of the models for n_regions regions: one
-        column per region, or a single column a shared model broadcasts."""
-        self.models_for(n_regions)
-        return self._coefficient_table
-
-    @cached_property
-    def _coefficient_table(self) -> np.ndarray:
-        models = ((self.model,) if isinstance(self.model, PredictorModel)
-                  else tuple(self.model))
-        table = coefficient_table(models)
-        table.flags.writeable = False
-        return table
+        coef = coefficient_table(self.model)
+        coef.flags.writeable = False
+        object.__setattr__(self, "coef", coef)
 
 
 @dataclass(frozen=True)
@@ -96,7 +75,6 @@ class ShieldReport:
     predicted_v_next: np.ndarray
     deficit_sum: float
     triggered: bool
-    substituted_action: np.ndarray | None
 
 
 # Bounds the rounding fix-up in _least_safe_action; a cap below v_mad would
@@ -104,11 +82,11 @@ class ShieldReport:
 _MAX_ULP_STEPS = 8
 
 
-def _predict(config: ShieldConfig, obs: np.ndarray, coef: np.ndarray,
+def _predict(config: ShieldConfig, obs: np.ndarray,
              action: np.ndarray) -> np.ndarray:
     """The shield's next-day prediction for every region, from the forecast
     columns of an observation row; bit for bit predict_next's."""
-    return predict_next_array(coef, soil_water(obs), action,
+    return predict_next_array(config.coef, soil_water(obs), action,
                               channel(obs, OBS_FORECAST_PRECIP_NEXT),
                               channel(obs, OBS_PREDICTED_ET_NEXT), cap=config.cap)
 
@@ -118,7 +96,10 @@ def predicted_deficit(config: ShieldConfig, obs: np.ndarray,
     """Next-day per-region predictions under an action, and the aggregate
     stress deficit those predictions imply."""
     a = np.asarray(action, dtype=float).reshape(-1)
-    v_hat = _predict(config, obs, config.coefficients(len(a)), a)
+    if len(a) != len(config.model):
+        raise ValueError(f"action has {len(a)} regions; the shield has "
+                         f"{len(config.model)} models")
+    v_hat = _predict(config, obs, a)
     return v_hat, float(np.maximum(0.0, config.v_mad - v_hat).sum())
 
 
@@ -135,8 +116,7 @@ def _least_safe_action(config: ShieldConfig, obs: np.ndarray,
     (c2 <= 0) keep the base dose.
     """
     a = np.array(base, dtype=float).reshape(-1)
-    coef = config.coefficients(len(a))
-    c1, c2, c3, b = coef
+    c1, c2, c3, b = config.coef
     with np.errstate(divide="ignore", invalid="ignore"):
         a_star = (config.v_mad - c1 * soil_water(obs)
                   - c2 * channel(obs, OBS_FORECAST_PRECIP_NEXT)
@@ -144,14 +124,13 @@ def _least_safe_action(config: ShieldConfig, obs: np.ndarray,
     raised = (a_star > a) & (c2 > 0)
     if not np.count_nonzero(raised):
         return a
-    a_hi = np.inf if config.a_max is None else config.a_max
-    a = np.where(raised, np.minimum(a_star, a_hi), a)
+    a = np.where(raised, np.minimum(a_star, config.a_max), a)
     for _ in range(_MAX_ULP_STEPS):
-        raised &= (a < a_hi) & (_predict(config, obs, coef, a) < config.v_mad)
+        raised &= (a < config.a_max) & (_predict(config, obs, a) < config.v_mad)
         if not np.count_nonzero(raised):
             break
         step = np.spacing(config.v_mad) / c2
-        a = np.where(raised, np.minimum(a + step, a_hi), a)
+        a = np.where(raised, np.minimum(a + step, config.a_max), a)
     return a
 
 
@@ -163,20 +142,17 @@ def screen(config: ShieldConfig, obs: np.ndarray, proposed: np.ndarray,
     fallback is any controller object whose decide(obs) returns a decision
     with an ``action`` attribute.  On a trigger each region gets the larger
     of the fallback's dose and the least dose the shield predicts safe
-    (capped at a_max); that corrected action is both executed and reported
-    as substituted_action.  With the shield disabled the proposal always
-    passes through, but the report still records the counterfactual deficit
-    so ablation runs can count would-have-triggered days.
+    (capped at a_max), and that corrected action executes.  With the shield
+    disabled the proposal always passes through, but the report still
+    records the counterfactual deficit so ablation runs can count
+    would-have-triggered days.
     """
     proposed = np.asarray(proposed, dtype=float).reshape(-1)
     v_hat, deficit = predicted_deficit(config, obs, proposed)
     would_trigger = deficit > config.detector_threshold
     if config.enabled and would_trigger:
-        substituted = _least_safe_action(config, obs,
-                                         fallback.decide(obs).action)
-        return substituted.copy(), ShieldReport(
-            predicted_v_next=v_hat, deficit_sum=deficit, triggered=True,
-            substituted_action=substituted)
+        corrected = _least_safe_action(config, obs, fallback.decide(obs).action)
+        return corrected, ShieldReport(
+            predicted_v_next=v_hat, deficit_sum=deficit, triggered=True)
     return proposed.copy(), ShieldReport(
-        predicted_v_next=v_hat, deficit_sum=deficit, triggered=False,
-        substituted_action=None)
+        predicted_v_next=v_hat, deficit_sum=deficit, triggered=False)

@@ -74,27 +74,28 @@ class EtModelParams:
     """Coefficients of the temperature-based daily reference-ET model.
 
     et = gamma_c * ra * sqrt(td) * (t_avg_c + 17.8), where gamma_c is a
-    crop-specific constant, ra the extraterrestrial radiation expressed in
-    the same unit as the output, and td the annual mean daily temperature
-    spread in Celsius.
+    crop-specific constant, ra the day's extraterrestrial radiation
+    expressed in the same unit as the output (ClimateParams gives it a
+    seasonal swing), and td the annual mean daily temperature spread in
+    Celsius.
     """
 
     gamma_c: float = 0.0023
-    ra: float = 0.60
     td: float = 12.0
 
     def __post_init__(self) -> None:
-        if self.gamma_c <= 0 or self.ra <= 0 or self.td < 0:
-            raise ValueError("require gamma_c > 0, ra > 0, td >= 0")
+        if self.gamma_c <= 0 or self.td < 0:
+            raise ValueError("require gamma_c > 0, td >= 0")
 
 
-def hargreaves_et(params: EtModelParams, t_avg_c: float) -> float:
-    """Daily reference ET from mean air temperature (Celsius).
+def hargreaves_et(params: EtModelParams, ra: float, t_avg_c: float) -> float:
+    """Daily reference ET from radiation ra and mean air temperature
+    (Celsius).
 
     Temperatures below -17.8 C zero the driving term; ET is floored at 0
     rather than going negative on such extreme-cold days.
     """
-    return params.gamma_c * params.ra * math.sqrt(params.td) * max(0.0, t_avg_c + 17.8)
+    return params.gamma_c * ra * math.sqrt(params.td) * max(0.0, t_avg_c + 17.8)
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,13 @@ def default_forecast_noise(season_et_mean: float) -> ForecastNoise:
 def synthesize_forecast(
     actual_next: WeatherDay,
     noise: ForecastNoise,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Perturb the next day's actual ET and precipitation into a forecast.
 
     Zero-mean additive Gaussian error on ET; event miss / false alarm plus
     relative magnitude error on precipitation.  Both outputs floored at 0.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     pred_et = actual_next.et
     if noise.et_std > 0:
         pred_et = max(0.0, pred_et + float(rng.normal(0.0, noise.et_std)))
@@ -224,7 +224,7 @@ def _synthesize_raw_day(date: dt.date, climate: ClimateParams,
         precip = min(max(rng.gamma(climate.precip_shape, climate.precip_scale), 0.02),
                      climate.precip_cap)
 
-    # hargreaves_et with the day's radiation in place of et_params.ra
+    # hargreaves_et, inlined, with the day's radiation
     ra = climate.ra_base + climate.ra_amp * seasonal
     p = climate.et_params
     et = p.gamma_c * ra * math.sqrt(p.td) * max(0.0, fahrenheit_to_celsius(t_avg) + 17.8)
@@ -294,17 +294,16 @@ def write_weather_csv(path, days: list[WeatherDay]) -> None:
             writer.writerow([d.date.isoformat()] + [repr(x) for x in d.numeric_channels])
 
 
-def load_weather_csv(path, noise: NoiseModel | None = None,
-                     seed: int = 0) -> list[WeatherDay]:
+def load_weather_csv(path, noise: NoiseModel, seed: int = 0) -> list[WeatherDay]:
     """Read a daily weather log and populate forecast channels.
 
     Rows must be chronologically increasing and satisfy the WeatherDay
     invariants; violations raise ValueError naming the offending row.  The
     result drops the final row as a standalone day: with n input rows you
     get n - 1 usable records (the last row only feeds the preceding day's
-    forecast and final transition).  Default noise is zero, i.e. forecasts
-    equal the following row's actuals; a function of the mean ET is scaled
-    by the usable records'.
+    forecast and final transition).  Forecasts carry noise; ForecastNoise()
+    makes them equal the following row's actuals, and a function of the
+    mean ET is scaled by the usable records'.
     """
     days: list[WeatherDay] = []
     with open(path, newline="") as fh:
@@ -340,5 +339,5 @@ def load_weather_csv(path, noise: NoiseModel | None = None,
         usable = days[:-1]
         noise = noise(float(np.mean([d.et for d in usable])) if usable else 0.0)
     rng = np.random.default_rng(seed)
-    with_fc = attach_forecasts(days, noise or ForecastNoise(), rng)
+    with_fc = attach_forecasts(days, noise, rng)
     return with_fc[:-1]

@@ -113,13 +113,8 @@ def test_gradient_check():
                                     hidden=(4,), seed=0)
     rng = np.random.default_rng(1)
     obs = rng.normal(size=(8, 5))
-    pre, logp = [], []
-    for row in obs:
-        _, u, lp = policy.sample(row, rng)
-        pre.append(u)
-        logp.append(lp)
-    batch = RolloutBatch(obs=obs, pre_squash=np.array(pre),
-                         old_log_prob=np.array(logp),
+    _, pre, logp = policy.sample(obs, rng)
+    batch = RolloutBatch(obs=obs, pre_squash=pre, old_log_prob=logp,
                          returns=rng.normal(size=8))
     err = gradient_check(policy, batch)
     assert verdict(3, "analytic policy gradient matches finite differences",

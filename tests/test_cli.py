@@ -179,6 +179,15 @@ class TestTrain:
             # 2 lockstep episodes of 4 days per iteration
             assert rec["env_steps_per_s"] == pytest.approx(8 / rec["rollout_s"])
 
+    def test_season_shorter_than_an_episode(self, workdir):
+        # each synthetic training season still holds one 30-day episode
+        path = workdir / "short.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, trainer=dict(
+            TINY_CONFIG["trainer"], episode_length=30))))
+        res = run_cli("train", "--config", str(path), "--days", "29",
+                      "--out", str(workdir / "train_short"))
+        assert res.returncode == 0, res.stderr
+
 
 class TestEvaluate:
     def test_baseline_season(self, workdir, tiny_config):
@@ -221,6 +230,24 @@ class TestEvaluate:
                       "--policy", "/no/such/policy.npz")
         assert res.returncode == 1
         assert res.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("override, message", [
+        ({"n_regions": 3},
+         "snapshot has 2 regions and 26 inputs; the run has 3 regions and 27"),
+        ({"env": {"a_max": 0.3}},
+         "snapshot a_max 0.54 exceeds the run's env.a_max 0.3"),
+    ], ids=["regions", "a_max"])
+    def test_mismatched_snapshot_rejected_at_load(self, workdir, trained,
+                                                  override, message):
+        path = workdir / "mismatched.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, **override)))
+        snapshot = str(trained[0] / "policy.npz")
+        res = run_cli("evaluate", "--controller", "rl", "--config", str(path),
+                      "--out", str(workdir / "eval_mismatched"),
+                      "--policy", snapshot)
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: {snapshot}: ")
+        assert message in res.stderr
 
 
 class TestCompare:

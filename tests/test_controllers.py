@@ -143,7 +143,9 @@ def policy_with_stats(n_regions=1, seed=0):
     obs_dim = n_regions + 24
     policy = SquashedGaussianPolicy(obs_dim=obs_dim, n_regions=n_regions,
                                     a_max=A_MAX, hidden=(8,), seed=seed)
-    policy.norm_stats = NormalizationStats.identity(obs_dim - 12)
+    n_continuous = obs_dim - 12
+    policy.norm_stats = NormalizationStats(mean=np.zeros(n_continuous),
+                                           std=np.ones(n_continuous))
     return policy
 
 
@@ -194,7 +196,8 @@ class TestConstantController:
 
 class TestShieldedController:
     def shield(self, enabled=True):
-        return ShieldConfig(model=TREE1_MODEL, v_mad=4.726, enabled=enabled)
+        return ShieldConfig(model=(TREE1_MODEL,), v_mad=4.726, cap=8.09,
+                            a_max=A_MAX, enabled=enabled)
 
     def test_trigger_substitutes_fallback_action(self):
         inner = ConstantController(1, depth=0.0)
@@ -211,7 +214,6 @@ class TestShieldedController:
         least_safe = (4.726 - (m.c1 * 4.8 + m.c3 * 0.15 + m.b)) / m.c2
         assert d.action[0] == pytest.approx(least_safe, rel=1e-12)
         assert d.action[0] >= 0.15
-        assert np.array_equal(d.action, d.report.substituted_action)
 
     def test_safe_proposal_passes_through(self):
         inner = ConstantController(1, depth=0.0)
@@ -221,7 +223,6 @@ class TestShieldedController:
         assert d.source == SOURCE_AGENT
         assert np.array_equal(d.action, [0.0])
         assert not d.report.triggered
-        assert d.report.substituted_action is None
 
     def test_report_attached_either_way(self):
         inner = ConstantController(1, depth=0.0)

@@ -364,19 +364,6 @@ class TestNormalization:
         out = stats.apply(vecs[0])
         assert np.array_equal(out[n_cont:], vecs[0][n_cont:])
 
-    def test_identity_idempotent(self):
-        cfg, vecs = self.sample_states(6)
-        stats = NormalizationStats.identity(cfg.obs_dim - 12)
-        once = stats.apply(vecs[0])
-        assert np.array_equal(stats.apply(once), once)
-
-    def test_round_trip(self):
-        cfg, vecs = self.sample_states()
-        n_cont = cfg.obs_dim - 12
-        stats = NormalizationStats.from_samples(vecs, n_cont)
-        for vec in vecs[:10]:
-            assert np.allclose(stats.invert(stats.apply(vec)), vec, atol=1e-9)
-
     def test_zero_variance_components_frozen(self):
         vecs = np.array([[1.0, 5.0], [1.0, 7.0], [1.0, 9.0]])
         stats = NormalizationStats.from_samples(vecs, 2)
@@ -385,20 +372,13 @@ class TestNormalization:
         assert out[0] == 0.0
 
     def test_dimension_mismatch_rejected(self):
-        stats = NormalizationStats.identity(12)
+        stats = NormalizationStats(mean=np.zeros(12), std=np.ones(12))
         with pytest.raises(ValueError):
             stats.apply(np.zeros(4))
 
     def test_std_must_be_positive(self):
         with pytest.raises(ValueError):
             NormalizationStats(mean=np.zeros(2), std=np.array([1.0, 0.0]))
-
-    def test_normalize_denormalize_helpers(self):
-        cfg = default_env_config()
-        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
-        obs = env.reset([6])
-        stats = NormalizationStats.identity(cfg.obs_dim - 12)
-        assert np.allclose(stats.invert(stats.apply(obs)), obs)
 
 
 def reference_reward(v_next, a, levels, params):

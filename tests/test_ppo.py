@@ -46,17 +46,12 @@ def sampled_batch(policy, n=8, seed=1, returns=None, logp_shift=None):
     old log-probabilities pretend the data came from a different policy."""
     rng = np.random.default_rng(seed)
     obs = rng.normal(size=(n, policy.obs_dim))
-    pre, logps = [], []
-    for row in obs:
-        _, u, lp = policy.sample(row, rng)
-        pre.append(u)
-        logps.append(lp)
-    old = np.array(logps)
+    _, pre, old = policy.sample(obs, rng)
     if logp_shift is not None:
         old = old - np.asarray(logp_shift, dtype=float)
     if returns is None:
         returns = rng.normal(size=n)
-    return RolloutBatch(obs=obs, pre_squash=np.array(pre), old_log_prob=old,
+    return RolloutBatch(obs=obs, pre_squash=pre, old_log_prob=old,
                         returns=np.asarray(returns, dtype=float))
 
 
@@ -203,7 +198,8 @@ class TestPpoLoss:
         policy = small_policy()
         batch = sampled_batch(policy, n=len(data), logp_shift=deltas)
         loss = ppo_loss(batch, policy, 0.3, advantages=adv)
-        ratio = np.exp(policy.log_prob(batch.obs, batch.pre_squash)
+        m, _ = policy.forward_mean(batch.obs)
+        ratio = np.exp(policy.log_prob_from_mean(batch.pre_squash, m)
                        - batch.old_log_prob)
         clipped = np.clip(ratio, 0.7, 1.3)
         expected = -np.minimum(ratio * adv, clipped * adv).mean()
@@ -215,9 +211,9 @@ class TestPpoLoss:
         policy = small_policy()
         batch = sampled_batch(policy, n=2)
         with pytest.raises(ValueError, match="epsilon"):
-            ppo_loss(batch, policy, 0.0)
+            ppo_loss(batch, policy, 0.0, advantages=np.ones(2))
         with pytest.raises(ValueError, match="epsilon"):
-            ppo_loss_and_grads(batch, policy, -0.1)
+            ppo_loss_and_grads(batch, policy, -0.1, advantages=np.ones(2))
 
 
 class TestGradients:
@@ -387,10 +383,12 @@ class TestTrain:
         policy.norm_stats = _collect_normalization_stats(vec, cfg, rng)
         batch, returns, totals = _rollout(vec, policy, cfg, rng)
         assert len(batch) == 12 and returns.shape == (3, 4)
+        m, _ = policy.forward_mean(batch.obs)
         assert np.allclose(batch.old_log_prob,
-                           policy.log_prob(batch.obs, batch.pre_squash),
+                           policy.log_prob_from_mean(batch.pre_squash, m),
                            rtol=0, atol=1e-12)
-        v = policy.norm_stats.invert(batch.obs)[:, 0].reshape(3, 4)
+        stats = policy.norm_stats
+        v = (batch.obs[:, 0] * stats.std[0] + stats.mean[0]).reshape(3, 4)
         a = policy.squash(batch.pre_squash)[:, 0].reshape(3, 4)
         assert np.allclose(v[:, 1:], v[:, :-1] + a[:, :-1], rtol=0, atol=1e-12)
         assert np.allclose(returns[:, 0], totals, rtol=0, atol=1e-12)

@@ -43,6 +43,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="per region"):
             default_run_config(n_regions=3)
 
+    def test_one_shield_model_per_region(self):
+        model = {"c1": 1.0, "c2": 1.0, "c3": -1.0, "b": 0.0}
+        with pytest.raises(ValueError,
+                           match="shield.model has 1 models for 2 regions"):
+            from_json_dict({"shield": {"model": [model]}})
+        run = from_json_dict({"shield": {"model": [model, model]}})
+        assert len(run.shield.model) == 2
+
     def test_forecast_preset_names(self):
         with pytest.raises(ValueError, match="preset"):
             default_run_config(forecast_noise="bogus")
@@ -131,6 +139,10 @@ class TestJsonRoundTrip:
             from_json_dict({"shield": {"enabled": False}})
         with pytest.raises(ValueError, match=r"unknown config keys: \['policy_path'\]"):
             from_json_dict({"policy_path": "policy.npz"})
+        # synthesis takes each day's radiation from ra_base and ra_amp
+        with pytest.raises(ValueError,
+                           match=r"unknown climate.et_params keys: \['ra'\]"):
+            from_json_dict({"climate": {"et_params": {"ra": 0.6}}})
 
     @pytest.mark.parametrize("section, doc", [
         ("climate", {"climate": {"rainfall": 1.0}}),
@@ -269,13 +281,19 @@ class TestWeatherBuilders:
         assert [d.et for d in a] != [d.et for d in c]
 
     def test_training_corpus_spans_prior_years(self):
+        # a 20-day season is shorter than a 30-day training episode, so
+        # every training season takes episode_length + 1 records
         run = default_run_config(days=20, seed=1)
         corpus = build_training_weather(run)
-        assert len(corpus) == 4 * 21
+        assert len(corpus) == 4 * 31
         dates = [d.date for d in corpus]
         assert all(d1 < d2 for d1, d2 in zip(dates, dates[1:]))
         assert dates[0].year == run.climate.start.year - 4
         assert dates[-1].year < run.climate.start.year
+
+    def test_training_seasons_span_the_season_when_longer(self):
+        run = default_run_config(days=40, seed=1)
+        assert len(build_training_weather(run)) == 4 * 41
 
     def test_csv_season_loads(self, tmp_path):
         source = synthesize_season(0, 12, default_run_config().climate)

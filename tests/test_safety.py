@@ -13,6 +13,7 @@ from orchardrl.predictor import (
     TREE1_MODEL,
     TREE2_MODEL,
     PredictorModel,
+    coefficient_table,
     predict_next,
 )
 from orchardrl.safety import ShieldConfig, ShieldReport, predicted_deficit, screen
@@ -21,6 +22,8 @@ from orchardrl.weather import WeatherDay
 from conftest import default_env_config, flat_season, obs_row
 
 V_MAD = 4.726
+CAP = 8.09      # the testbed's field capacity plus 1 in of surplus headroom
+A_MAX = 0.54
 
 
 def make_day(et=0.15, precip=0.0, et_next=0.15, precip_next=0.0,
@@ -36,59 +39,63 @@ def make_obs(v, **day_kw):
     return obs_row(v, make_day(**day_kw))
 
 
+def make_shield(*models, **kw):
+    """A shield with one model per region (one TREE1_MODEL region unless
+    models are given) at the testbed's stress level, cap and a_max."""
+    kw = {"v_mad": V_MAD, "cap": CAP, "a_max": A_MAX, **kw}
+    return ShieldConfig(model=models or (TREE1_MODEL,), **kw)
+
+
 class TestShieldConfig:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
-            ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD,
-                         detector_threshold=-0.1)
+            make_shield(detector_threshold=-0.1)
 
     def test_rejects_negative_stress_level(self):
         with pytest.raises(ValueError, match="v_mad"):
-            ShieldConfig(model=TREE1_MODEL, v_mad=-1.0)
-
-    def test_single_model_shared_across_regions(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
-        assert cfg.models_for(3) == (TREE1_MODEL,) * 3
+            make_shield(v_mad=-1.0)
 
     def test_per_region_models(self):
-        cfg = ShieldConfig(model=(TREE1_MODEL, TREE2_MODEL), v_mad=V_MAD)
-        assert cfg.models_for(2) == (TREE1_MODEL, TREE2_MODEL)
+        cfg = make_shield(TREE1_MODEL, TREE2_MODEL)
+        assert np.array_equal(cfg.coef,
+                              coefficient_table((TREE1_MODEL, TREE2_MODEL)))
+        assert not cfg.coef.flags.writeable
 
     def test_model_count_mismatch(self):
-        cfg = ShieldConfig(model=(TREE1_MODEL,), v_mad=V_MAD)
-        with pytest.raises(ValueError, match="models for"):
-            cfg.models_for(2)
+        # one model would otherwise broadcast silently over both regions
+        cfg = make_shield(TREE1_MODEL)
+        with pytest.raises(ValueError, match="action has 2 regions"):
+            predicted_deficit(cfg, make_obs([5.0, 5.0]), np.zeros(2))
 
     def test_unfitted_model_rejected_at_use(self):
-        cfg = ShieldConfig(model=None, v_mad=V_MAD)
-        with pytest.raises(ValueError, match="unfitted"):
-            predicted_deficit(cfg, make_obs([5.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="one fitted PredictorModel"):
+            ShieldConfig(model=(), v_mad=V_MAD, cap=CAP, a_max=A_MAX)
 
 
 class TestPredictedDeficit:
     def test_hand_example(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
+        cfg = make_shield()
         obs = make_obs([4.8], et_next=0.15, precip_next=0.0)
         v_hat, deficit = predicted_deficit(cfg, obs, np.array([0.0]))
         assert v_hat[0] == pytest.approx(4.65795, abs=1e-9)
         assert deficit == pytest.approx(0.06805, abs=1e-9)
 
     def test_no_deficit_above_stress_level(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
+        cfg = make_shield()
         obs = make_obs([6.5], et_next=0.15)
         _, deficit = predicted_deficit(cfg, obs, np.array([0.0]))
         assert deficit == 0.0
 
     def test_surplus_region_cannot_mask_deficit(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
+        cfg = make_shield(TREE1_MODEL, TREE1_MODEL)
         obs = make_obs([7.0, 4.0], et_next=0.1)
         _, deficit = predicted_deficit(cfg, obs, np.zeros(2))
         # only region 2 contributes: 4.726 - (0.973*4 - 0.0103 + 0.003)
         assert deficit == pytest.approx(V_MAD - 3.8847, abs=1e-9)
 
     def test_cap_limits_predictions(self):
-        cfg = ShieldConfig(model=PredictorModel(c1=1.0, c2=1.0, c3=0.0, b=0.0),
-                           v_mad=V_MAD, cap=8.0)
+        cfg = make_shield(PredictorModel(c1=1.0, c2=1.0, c3=0.0, b=0.0),
+                          cap=8.0)
         obs = make_obs([7.8], precip_next=1.5, et_next=0.0)
         v_hat, _ = predicted_deficit(cfg, obs, np.array([0.54]))
         assert v_hat[0] == 8.0
@@ -101,12 +108,11 @@ class TestPredictedDeficit:
            precip=st.floats(min_value=0.0, max_value=0.5))
     def test_matches_scalar_predictor_exactly(self, v, a, et, precip):
         # the per-region predictions are predict_next's, bit for bit
-        cfg = ShieldConfig(model=(TREE1_MODEL, TREE2_MODEL), v_mad=V_MAD,
-                           cap=8.0)
+        cfg = make_shield(TREE1_MODEL, TREE2_MODEL, cap=8.0)
         obs = make_obs(v, et_next=et, precip_next=precip)
         v_hat, _ = predicted_deficit(cfg, obs, np.array(a))
         want = [predict_next(m, v_i, a_i, precip, et, cap=8.0)
-                for m, v_i, a_i in zip(cfg.models_for(2), v, a)]
+                for m, v_i, a_i in zip(cfg.model, v, a)]
         assert v_hat.tolist() == want
 
     @given(v=st.floats(min_value=3.0, max_value=7.0),
@@ -115,7 +121,7 @@ class TestPredictedDeficit:
            et=st.floats(min_value=0.0, max_value=0.4),
            precip=st.floats(min_value=0.0, max_value=0.5))
     def test_less_water_never_reduces_deficit(self, v, a1, a2, et, precip):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
+        cfg = make_shield()
         obs = make_obs([v], et_next=et, precip_next=precip)
         lo, hi = sorted((a1, a2))
         _, d_lo = predicted_deficit(cfg, obs, np.array([lo]))
@@ -125,26 +131,24 @@ class TestPredictedDeficit:
 
 class TestScreen:
     def test_trigger_returns_fallback_action(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
+        cfg = make_shield()
         obs = make_obs([4.8], et_next=0.15)
         fallback = ConstantController(1, depth=0.54)
         action, report = screen(cfg, obs, np.array([0.0]), fallback)
         assert report.triggered
         assert np.array_equal(action, [0.54])
-        assert np.array_equal(report.substituted_action, [0.54])
         assert report.deficit_sum > 0.0
 
     def test_safe_action_passes_unchanged(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
+        cfg = make_shield()
         obs = make_obs([6.5], et_next=0.15)
         action, report = screen(cfg, obs, np.array([0.2]),
                                 ConstantController(1, depth=0.54))
         assert not report.triggered
         assert np.array_equal(action, [0.2])
-        assert report.substituted_action is None
 
     def test_disabled_shield_records_counterfactual(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD, enabled=False)
+        cfg = make_shield(enabled=False)
         obs = make_obs([4.8], et_next=0.15)
         action, report = screen(cfg, obs, np.array([0.0]),
                                 ConstantController(1, depth=0.54))
@@ -154,9 +158,8 @@ class TestScreen:
 
     def test_threshold_gates_marginal_deficits(self):
         obs = make_obs([4.8], et_next=0.15)   # deficit 0.06805
-        tight = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
-        loose = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD,
-                             detector_threshold=0.1)
+        tight = make_shield()
+        loose = make_shield(detector_threshold=0.1)
         fallback = ConstantController(1, depth=0.54)
         assert screen(tight, obs, np.zeros(1), fallback)[1].triggered
         assert not screen(loose, obs, np.zeros(1), fallback)[1].triggered
@@ -165,7 +168,7 @@ class TestScreen:
            a=st.floats(min_value=0.0, max_value=0.54),
            et=st.floats(min_value=0.0, max_value=0.4))
     def test_trigger_iff_deficit_exceeds_threshold(self, v, a, et):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
+        cfg = make_shield()
         obs = make_obs([v], et_next=et)
         _, deficit = predicted_deficit(cfg, obs, np.array([a]))
         _, report = screen(cfg, obs, np.array([a]),
@@ -174,7 +177,7 @@ class TestScreen:
         assert report.deficit_sum == deficit
 
     def test_report_shape(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD)
+        cfg = make_shield(TREE1_MODEL, TREE1_MODEL)
         _, report = screen(cfg, make_obs([5.0, 6.0], et_next=0.2),
                            np.zeros(2), ConstantController(2, depth=0.54))
         assert isinstance(report, ShieldReport)
@@ -228,7 +231,7 @@ class TestSoundness:
             seed, lambda cfg: EtController(len(cfg.dynamics), cfg.plant.a_max))
 
     def test_correction_beyond_a_max_executes_a_max(self):
-        cfg = ShieldConfig(model=TREE1_MODEL, v_mad=V_MAD, a_max=0.54)
+        cfg = make_shield(TREE1_MODEL, TREE1_MODEL)
         # region 1 needs (4.726 - 3.8502) / 0.288, about 3.04 in; region 2
         # needs (4.726 - 4.6322) / 0.288, about 0.326 in
         obs = make_obs([4.0, 4.8], et=0.15, et_next=0.4)

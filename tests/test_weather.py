@@ -37,29 +37,30 @@ def make_day(date=dt.date(2020, 3, 1), et=0.15, precip=0.0, **kw):
 
 class TestHargreaves:
     def test_offset_zero(self):
-        p = EtModelParams(gamma_c=0.0023, ra=10.0, td=9.0)
-        assert hargreaves_et(p, -17.8) == 0.0
+        p = EtModelParams(gamma_c=0.0023, td=9.0)
+        assert hargreaves_et(p, 10.0, -17.8) == 0.0
 
     def test_zero_temperature_spread(self):
-        p = EtModelParams(gamma_c=0.0023, ra=10.0, td=0.0)
-        assert hargreaves_et(p, 30.0) == 0.0
+        p = EtModelParams(gamma_c=0.0023, td=0.0)
+        assert hargreaves_et(p, 10.0, 30.0) == 0.0
 
     def test_hand_value(self):
-        p = EtModelParams(gamma_c=0.0023, ra=10.0, td=9.0)
-        assert hargreaves_et(p, 20.0) == pytest.approx(2.6082, abs=1e-9)
+        p = EtModelParams(gamma_c=0.0023, td=9.0)
+        assert hargreaves_et(p, 10.0, 20.0) == pytest.approx(2.6082, abs=1e-9)
 
     def test_extreme_cold_clamped(self):
-        p = EtModelParams(gamma_c=0.0023, ra=10.0, td=9.0)
-        assert hargreaves_et(p, -40.0) == 0.0
+        p = EtModelParams(gamma_c=0.0023, td=9.0)
+        assert hargreaves_et(p, 10.0, -40.0) == 0.0
 
     @given(scale=st.floats(min_value=0.1, max_value=10.0),
            t=st.floats(min_value=-10.0, max_value=45.0))
     def test_linear_in_gamma_and_ra(self, scale, t):
-        p = EtModelParams(gamma_c=0.0023, ra=0.6, td=12.0)
-        base = hargreaves_et(p, t)
-        assert hargreaves_et(dataclasses.replace(p, gamma_c=p.gamma_c * scale), t) \
+        p = EtModelParams(gamma_c=0.0023, td=12.0)
+        base = hargreaves_et(p, 0.6, t)
+        scaled = dataclasses.replace(p, gamma_c=p.gamma_c * scale)
+        assert hargreaves_et(scaled, 0.6, t) \
             == pytest.approx(scale * base, rel=1e-12)
-        assert hargreaves_et(dataclasses.replace(p, ra=p.ra * scale), t) \
+        assert hargreaves_et(p, 0.6 * scale, t) \
             == pytest.approx(scale * base, rel=1e-12)
 
     @given(t1=st.floats(min_value=-30.0, max_value=50.0),
@@ -67,7 +68,7 @@ class TestHargreaves:
     def test_monotone_in_temperature(self, t1, t2):
         p = EtModelParams()
         lo, hi = sorted((t1, t2))
-        assert hargreaves_et(p, lo) <= hargreaves_et(p, hi)
+        assert hargreaves_et(p, 0.6, lo) <= hargreaves_et(p, 0.6, hi)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -103,7 +104,8 @@ class TestWeatherDayValidation:
 class TestSynthesizeForecast:
     def test_zero_noise_is_exact(self):
         day = make_day(et=0.15, precip=0.3)
-        et_fc, p_fc = synthesize_forecast(day, ForecastNoise(), seed=0)
+        et_fc, p_fc = synthesize_forecast(day, ForecastNoise(),
+                                         np.random.default_rng(0))
         assert et_fc == 0.15
         assert p_fc == 0.3
 
@@ -118,21 +120,25 @@ class TestSynthesizeForecast:
     def test_et_floored_at_zero(self):
         noise = ForecastNoise(et_std=5.0)
         for seed in range(50):
-            et_fc, _ = synthesize_forecast(make_day(et=0.01), noise, seed)
+            et_fc, _ = synthesize_forecast(make_day(et=0.01), noise,
+                                           np.random.default_rng(seed))
             assert et_fc >= 0.0
 
     def test_certain_miss_zeroes_rain(self):
         noise = ForecastNoise(miss_rate=1.0)
-        _, p_fc = synthesize_forecast(make_day(precip=0.8), noise, seed=3)
+        _, p_fc = synthesize_forecast(make_day(precip=0.8), noise,
+                                      np.random.default_rng(3))
         assert p_fc == 0.0
 
     def test_certain_false_alarm_invents_rain(self):
         noise = ForecastNoise(false_alarm_rate=1.0, false_alarm_mean=0.1)
-        _, p_fc = synthesize_forecast(make_day(precip=0.0), noise, seed=3)
+        _, p_fc = synthesize_forecast(make_day(precip=0.0), noise,
+                                      np.random.default_rng(3))
         assert p_fc > 0.0
 
     def test_dry_day_stays_dry_without_false_alarms(self):
-        _, p_fc = synthesize_forecast(make_day(precip=0.0), ForecastNoise(), seed=3)
+        _, p_fc = synthesize_forecast(make_day(precip=0.0), ForecastNoise(),
+                                      np.random.default_rng(3))
         assert p_fc == 0.0
 
     def test_noise_validation(self):
@@ -186,9 +192,8 @@ class TestSynthesizeSeason:
                                 precip_event_prob=(0.0,) * 12)
         for day in synthesize_season(2, 60, climate):
             seasonal = math.sin(math.pi * climate.seasonal_phase(day.date))
-            params = dataclasses.replace(
-                climate.et_params, ra=climate.ra_base + climate.ra_amp * seasonal)
-            assert day.et == hargreaves_et(params,
+            ra = climate.ra_base + climate.ra_amp * seasonal
+            assert day.et == hargreaves_et(climate.et_params, ra,
                                            fahrenheit_to_celsius(day.t_avg))
 
     def test_exact_forecasts_match_next_actuals(self):
@@ -235,23 +240,23 @@ class TestWeatherCsv:
     def test_three_rows_two_usable_days(self, tmp_path):
         path = tmp_path / "w.csv"
         write_weather_csv(path, synthesize_season(0, 3))
-        assert len(load_weather_csv(path)) == 2
+        assert len(load_weather_csv(path, noise=ForecastNoise())) == 2
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        assert load_weather_csv(path) == []
+        assert load_weather_csv(path, noise=ForecastNoise()) == []
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n")
-        assert load_weather_csv(path) == []
+        assert load_weather_csv(path, noise=ForecastNoise()) == []
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("date,banana\n")
         with pytest.raises(ValueError, match="header"):
-            load_weather_csv(path)
+            load_weather_csv(path, noise=ForecastNoise())
 
     def test_invalid_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -259,14 +264,14 @@ class TestWeatherCsv:
         bad = "2020-03-02,0.1,0.0,55,65,75,90,70,50,500,3"  # t_min > t_max
         path.write_text(",".join(CSV_COLUMNS) + "\n" + good + "\n" + bad + "\n")
         with pytest.raises(ValueError, match=":3:"):
-            load_weather_csv(path)
+            load_weather_csv(path, noise=ForecastNoise())
 
     def test_unparseable_value_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         row = "2020-03-01,abc,0.0,75,65,55,90,70,50,500,3"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n")
         with pytest.raises(ValueError, match=":2:"):
-            load_weather_csv(path)
+            load_weather_csv(path, noise=ForecastNoise())
 
     def test_non_monotone_dates_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -274,7 +279,7 @@ class TestWeatherCsv:
         r2 = "2020-03-01,0.1,0.0,75,65,55,90,70,50,500,3"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + r1 + "\n" + r2 + "\n")
         with pytest.raises(ValueError, match="strictly increase"):
-            load_weather_csv(path)
+            load_weather_csv(path, noise=ForecastNoise())
 
     def test_derived_noise_is_reproducible(self, tmp_path):
         path = tmp_path / "season.csv"
