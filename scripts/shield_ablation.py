@@ -20,8 +20,8 @@ from orchardrl.runconfig import build_levels, measurement_run
 
 def rewire_to_zero(policy):
     adversary = copy.deepcopy(policy)
-    adversary.param_arrays[-3][:] = 0.0    # final layer weights
-    adversary.param_arrays[-2][:] = -8.0   # bias: squashed action ~ 0
+    adversary.net.weights[-1][:] = 0.0
+    adversary.net.biases[-1][:] = -8.0   # squashed action ~ 0
     return adversary
 
 

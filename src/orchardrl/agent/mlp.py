@@ -2,9 +2,11 @@
 
 Hidden layers use tanh; the output layer is linear.  Weights initialize at
 fan-in scale and the final layer starts near zero so downstream squashing
-lands mid-range.  The backward pass returns gradients in the same structure
-as the parameters; correctness is validated against finite differences in
-the test suite.
+lands mid-range.  The layers' weights and biases are views of one flat
+parameter vector (W0, b0, W1, b1, ...) owned by the caller, and the backward
+pass writes its gradients into a flat vector with the same layout, so an
+optimizer steps every parameter with one vectorized update.  Correctness is
+validated against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -15,30 +17,50 @@ import numpy as np
 
 
 class Mlp:
-    """Fully connected network: sizes = (n_in, hidden..., n_out)."""
+    """Fully connected network: sizes = (n_in, hidden..., n_out), its
+    parameters the views of a flat vector of length parameter_count(sizes)."""
 
-    def __init__(self, sizes: tuple[int, ...], seed: int | None = None):
+    def __init__(self, sizes: tuple[int, ...], params: np.ndarray,
+                 seed: int | None = None):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
-        rng = np.random.default_rng(seed)
         self.sizes = tuple(sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        n_layers = len(sizes) - 1
-        for i in range(n_layers):
-            scale = 1.0 / math.sqrt(sizes[i])
-            W = rng.normal(0.0, scale, size=(sizes[i], sizes[i + 1]))
-            if i == n_layers - 1:
+        self.weights, self.biases = self.layer_views(params)
+        rng = np.random.default_rng(seed)
+        last = len(self.weights) - 1
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            # rng.normal(0, scale) drawn in place: numpy forms it as scale * z
+            rng.standard_normal(out=W)
+            W *= 1.0 / math.sqrt(sizes[i])
+            if i == last:
                 W *= 0.01
-            self.weights.append(W)
-            self.biases.append(np.zeros(sizes[i + 1]))
+            b[...] = 0.0
+
+    @staticmethod
+    def parameter_count(sizes: tuple[int, ...]) -> int:
+        return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+
+    def layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a flat vector laid out like
+        the parameters."""
+        if flat.shape != (self.parameter_count(self.sizes),):
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit "
+                             f"layer sizes {self.sizes}")
+        weights: list[np.ndarray] = []
+        biases: list[np.ndarray] = []
+        offset = 0
+        for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[offset:offset + n_in * n_out].reshape(n_in, n_out))
+            offset += n_in * n_out
+            biases.append(flat[offset:offset + n_out])
+            offset += n_out
+        return weights, biases
 
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Batched forward pass; returns output and the per-layer
-        activations needed by backward (input first, output last)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Forward pass over a (rows, n_in) batch; returns output and the
+        per-layer activations needed by backward (input first, output last)."""
         activations = [X]
         h = X
         last = len(self.weights) - 1
@@ -48,32 +70,29 @@ class Mlp:
             activations.append(h)
         return h, activations
 
-    def backward(self, activations: list[np.ndarray],
-                 grad_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Backpropagate d(loss)/d(output) to parameter gradients.
+    def backward(self, activations: list[np.ndarray], grad_out: np.ndarray,
+                 grad: np.ndarray) -> None:
+        """Backpropagate d(loss)/d(output) into grad, a flat vector laid out
+        like the parameters.
 
         activations must come from the forward() that produced the output;
         grad_out has the output's shape.
         """
-        grad_w: list[np.ndarray] = []
-        grad_b: list[np.ndarray] = []
-        g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+        grad_w, grad_b = self.layer_views(grad)
+        g = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            grad_w.append(activations[i].T @ g)
-            grad_b.append(g.sum(axis=0))
+            np.matmul(activations[i].T, g, out=grad_w[i])
+            g.sum(axis=0, out=grad_b[i])
             if i > 0:
                 # activations[i] is tanh(z_i) for hidden layers
                 g = (g @ self.weights[i].T) * (1.0 - activations[i] ** 2)
-        # collected output layer first; return them in parameter order
-        grad_w.reverse()
-        grad_b.reverse()
-        return grad_w, grad_b
 
 
 class AdamOptimizer:
-    """First-order adaptive moment estimation over a list of arrays."""
+    """First-order adaptive moment estimation over one flat parameter
+    vector, stepped with one vectorized update into preallocated scratch."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 0.01,
+    def __init__(self, params: np.ndarray, lr: float = 0.01,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
@@ -82,19 +101,36 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Update params in place with one Adam step."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("parameter/gradient structure changed")
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Update params in place with one Adam step.
+
+        Each element goes through m = b1*m + (1-b1)*g,
+        v = b2*v + ((1-b2)*g)*g and p -= lr*(m/b1t) / (sqrt(v/b2t) + eps)
+        in that order, so the result does not depend on how the
+        parameters are laid out.
+        """
+        if params.shape != self.m.shape or grad.shape != self.m.shape:
+            raise ValueError(f"parameter/gradient shapes {params.shape}/"
+                             f"{grad.shape} differ from {self.m.shape}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        num, den = self._scratch
+        self.m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        self.m += num
+        self.v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=num)
+        num *= grad
+        self.v += num
+        np.divide(self.m, b1t, out=num)
+        num *= self.lr
+        np.divide(self.v, b2t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        params -= num

@@ -1,7 +1,10 @@
 """Squashed-Gaussian irrigation policy.
 
 The network maps a normalized observation to per-region pre-squash means; a
-state-independent learned log-std vector sets exploration.  Samples map to
+state-independent learned log-std vector sets exploration.  Every trainable
+value lives in one flat vector, params: the network's weights and biases and
+the log-std are views of it, in the order W0, b0, W1, b1, ..., log_std, so
+the optimizer takes one step over all of them.  Samples map to
 valid irrigation depths through an affine tanh squash onto [0, a_max], and
 log-probabilities carry the corresponding change-of-variables correction.
 Snapshots persist to a versioned .npz with the normalization statistics, a
@@ -10,6 +13,7 @@ config hash and the software environment embedded.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -50,38 +54,33 @@ class SquashedGaussianPolicy:
         self.n_regions = n_regions
         self.a_max = a_max
         self.hidden = tuple(hidden)
-        self.net = Mlp((obs_dim, *self.hidden, n_regions), seed=seed)
-        self.log_std = np.full(n_regions, float(np.clip(init_log_std,
-                                                        LOG_STD_MIN, LOG_STD_MAX)))
+        sizes = (obs_dim, *self.hidden, n_regions)
+        self.params = np.empty(Mlp.parameter_count(sizes) + n_regions)
+        self.net = Mlp(sizes, self.params[:-n_regions], seed=seed)
+        self.log_std = self.params[-n_regions:]
+        self.log_std[:] = float(np.clip(init_log_std, LOG_STD_MIN, LOG_STD_MAX))
         self.norm_stats: NormalizationStats | None = None
         self.config_hash = ""
 
-    # -- parameter bookkeeping -------------------------------------------
-
-    @property
-    def param_arrays(self) -> list[np.ndarray]:
-        """All trainable arrays, in a fixed order (log-std last)."""
-        out: list[np.ndarray] = []
-        for W, b in zip(self.net.weights, self.net.biases):
-            out.extend((W, b))
-        out.append(self.log_std)
-        return out
+    # -- parameters --------------------------------------------------------
 
     @property
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.param_arrays)
+        return self.params.size
 
-    def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.param_arrays])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != self.parameter_count:
-            raise ValueError("flat parameter vector has the wrong length")
-        offset = 0
-        for p in self.param_arrays:
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+    def __deepcopy__(self, memo) -> "SquashedGaussianPolicy":
+        """A copy whose network and log-std are views of its own parameter
+        vector (a plain deepcopy would give each view an array of its own,
+        so training the copy's params would leave its network unchanged)."""
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        clone.params = self.params.copy()
+        clone.net = copy.copy(self.net)
+        clone.net.weights, clone.net.biases = self.net.layer_views(
+            clone.params[:-self.n_regions])
+        clone.log_std = clone.params[-self.n_regions:]
+        clone.norm_stats = copy.deepcopy(self.norm_stats, memo)
+        return clone
 
     def clamp_log_std(self) -> None:
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
@@ -147,20 +146,26 @@ class SquashedGaussianPolicy:
             arrays[f"w{i}"] = W
             arrays[f"b{i}"] = b
         arrays["log_std"] = self.log_std
-        if self.norm_stats is not None:
-            arrays["norm_mean"] = self.norm_stats.mean
-            arrays["norm_std"] = self.norm_stats.std
+        arrays["norm_mean"] = self.norm_stats.mean
+        arrays["norm_std"] = self.norm_stats.std
         np.savez(path, **arrays)
 
 
 def load_policy(path) -> SquashedGaussianPolicy:
-    """Rebuild a policy from a snapshot written by save()."""
+    """Rebuild a policy from a snapshot written by save().
+
+    Raises ValueError on an unknown format, and one naming the file when
+    the snapshot lacks normalization statistics or one of its arrays does
+    not have the shape its metadata implies.
+    """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("format_version") != SNAPSHOT_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported snapshot format {meta.get('format_version')!r}"
             )
+        if "norm_mean" not in data or "norm_std" not in data:
+            raise ValueError(f"{path}: snapshot has no normalization statistics")
         policy = SquashedGaussianPolicy(
             obs_dim=int(meta["obs_dim"]),
             n_regions=int(meta["n_regions"]),
@@ -169,11 +174,16 @@ def load_policy(path) -> SquashedGaussianPolicy:
             seed=0,
         )
         policy.config_hash = meta.get("config_hash", "")
-        for i in range(len(policy.net.weights)):
-            policy.net.weights[i] = np.array(data[f"w{i}"])
-            policy.net.biases[i] = np.array(data[f"b{i}"])
-        policy.log_std = np.array(data["log_std"])
-        if "norm_mean" in data:
-            policy.norm_stats = NormalizationStats(mean=np.array(data["norm_mean"]),
-                                                   std=np.array(data["norm_std"]))
+        targets = {"log_std": policy.log_std}
+        for i, (W, b) in enumerate(zip(policy.net.weights, policy.net.biases)):
+            targets[f"w{i}"] = W
+            targets[f"b{i}"] = b
+        for key, target in targets.items():
+            stored = data[key]
+            if stored.shape != target.shape:
+                raise ValueError(f"{path}: {key} has shape {stored.shape}, "
+                                 f"expected {target.shape}")
+            target[...] = stored
+        policy.norm_stats = NormalizationStats(mean=np.array(data["norm_mean"]),
+                                               std=np.array(data["norm_std"]))
     return policy

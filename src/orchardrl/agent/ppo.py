@@ -88,7 +88,8 @@ class RolloutBatch:
     def __len__(self) -> int:
         return len(self.obs)
 
-    def subset(self, idx: np.ndarray) -> "RolloutBatch":
+    def subset(self, idx: np.ndarray | slice) -> "RolloutBatch":
+        """Rows idx: an index array copies them, a slice views them."""
         return RolloutBatch(self.obs[idx], self.pre_squash[idx],
                             self.old_log_prob[idx], self.returns[idx])
 
@@ -121,8 +122,9 @@ def ppo_loss(batch: RolloutBatch, policy: SquashedGaussianPolicy,
 
 def ppo_loss_and_grads(batch: RolloutBatch, policy: SquashedGaussianPolicy,
                        epsilon: float, advantages: np.ndarray
-                       ) -> tuple[float, list[np.ndarray]]:
-    """Loss plus analytic gradients in policy.param_arrays order.
+                       ) -> tuple[float, np.ndarray]:
+    """Loss plus its analytic gradient, a flat vector laid out like
+    policy.params.
 
     Per sample the surrogate is min(w*A, clip(w)*A); its derivative w.r.t.
     w is A on the unclipped branch and 0 once the clipped branch is strictly
@@ -144,14 +146,12 @@ def ppo_loss_and_grads(batch: RolloutBatch, policy: SquashedGaussianPolicy,
     z = (batch.pre_squash - m) / sigma
     # log pi depends on the mean through the Gaussian term only
     grad_mean = dloss_dlogp[:, None] * (z / sigma)
-    grad_log_std = (dloss_dlogp[:, None] * (z ** 2 - 1.0)).sum(axis=0)
 
-    grad_w, grad_b = policy.net.backward(cache, grad_mean)
-    grads: list[np.ndarray] = []
-    for gw, gb in zip(grad_w, grad_b):
-        grads.extend((gw, gb))
-    grads.append(grad_log_std)
-    return loss, grads
+    grad = np.empty_like(policy.params)
+    k = grad.size - policy.n_regions
+    (dloss_dlogp[:, None] * (z ** 2 - 1.0)).sum(axis=0, out=grad[k:])
+    policy.net.backward(cache, grad_mean, grad[:k])
+    return loss, grad
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -181,18 +181,17 @@ def gradient_check(policy: SquashedGaussianPolicy, batch: RolloutBatch,
             f"(got {policy.parameter_count})"
         )
     adv = normalized_advantages(batch.returns)
-    theta0 = policy.get_flat_params()
+    theta0 = policy.params.copy()
 
     def loss_at(theta: np.ndarray) -> float:
-        policy.set_flat_params(theta)
+        policy.params[:] = theta
         return ppo_loss(batch, policy, epsilon, advantages=adv)
 
     try:
-        _, grads = ppo_loss_and_grads(batch, policy, epsilon, advantages=adv)
-        analytic = np.concatenate([g.ravel() for g in grads])
+        _, analytic = ppo_loss_and_grads(batch, policy, epsilon, advantages=adv)
         numeric = finite_difference_gradient(loss_at, theta0, h=h)
     finally:
-        policy.set_flat_params(theta0)
+        policy.params[:] = theta0
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     err = np.abs(analytic - numeric) / denom
@@ -372,7 +371,7 @@ def train(config: TrainerConfig, env: IrrigationEnv, seed: int
         a_max=env_cfg.plant.a_max, hidden=config.hidden,
         seed=int(rng.integers(2 ** 32)), init_log_std=config.init_log_std)
     policy.norm_stats = stats
-    optimizer = AdamOptimizer(policy.param_arrays, lr=config.learning_rate)
+    optimizer = AdamOptimizer(policy.params, lr=config.learning_rate)
 
     curve: list[CurvePoint] = []
     totals: list[float] = []
@@ -389,15 +388,18 @@ def train(config: TrainerConfig, env: IrrigationEnv, seed: int
         order = np.arange(len(batch))
         for _ in range(config.epochs):
             rng.shuffle(order)
+            # one permuted copy per epoch; each minibatch is a contiguous
+            # slice of it, the rows order[lo:hi] in that order
+            shuffled, shuffled_adv = batch.subset(order), advantages[order]
             for lo in range(0, len(order), config.minibatch_size):
-                idx = order[lo:lo + config.minibatch_size]
-                loss_val, grads = ppo_loss_and_grads(
-                    batch.subset(idx), policy, config.clip_epsilon,
-                    advantages=advantages[idx])
+                rows = slice(lo, lo + config.minibatch_size)
+                loss_val, grad = ppo_loss_and_grads(
+                    shuffled.subset(rows), policy, config.clip_epsilon,
+                    advantages=shuffled_adv[rows])
                 if not math.isfinite(loss_val):
                     raise TrainingDiverged(
                         f"non-finite loss at iteration {it}", curve)
-                optimizer.step(policy.param_arrays, grads)
+                optimizer.step(policy.params, grad)
                 policy.clamp_log_std()
 
         t2 = time.perf_counter()

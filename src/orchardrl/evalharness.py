@@ -54,7 +54,6 @@ CONTROLLER_NAMES = ROSTER_NAMES + ("zero",)
 class ControllerResult:
     """One controller's season: series, totals, and stress accounting."""
 
-    name: str
     season_days: int
     initial_v: np.ndarray
     dates: list[dt.date]
@@ -145,7 +144,7 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     dates = [w.date for w in season[1:]]
     entries = {
         name: ControllerResult(
-            name=name, season_days=run.days, initial_v=initial_v[e],
+            season_days=run.days, initial_v=initial_v[e],
             dates=list(dates), daily_water=actions[e].sum(axis=1),
             actions=actions[e],
             soil=soil[e], sources=sources[e], deficits=deficits[e],
@@ -218,8 +217,7 @@ def write_results(outdir, experiment: ExperimentResult,
     """Persist summary.csv, daily.csv, and manifest.json under outdir; the
     manifest also records the software environment."""
     os.makedirs(outdir, exist_ok=True)
-    n_regions = next(iter(experiment.entries.values())).soil.shape[1] \
-        if experiment.entries else 0
+    n_regions = next(iter(experiment.entries.values())).soil.shape[1]
 
     with open(os.path.join(outdir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -137,7 +137,8 @@ def default_forecast_noise(season_et_mean: float) -> ForecastNoise:
 
 
 def synthesize_forecast(
-    actual_next: WeatherDay,
+    et_next: float,
+    precip_next: float,
     noise: ForecastNoise,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
@@ -146,10 +147,10 @@ def synthesize_forecast(
     Zero-mean additive Gaussian error on ET; event miss / false alarm plus
     relative magnitude error on precipitation.  Both outputs floored at 0.
     """
-    pred_et = actual_next.et
+    pred_et = et_next
     if noise.et_std > 0:
         pred_et = max(0.0, pred_et + float(rng.normal(0.0, noise.et_std)))
-    p = actual_next.precip
+    p = precip_next
     if p > 0.0:
         if noise.miss_rate > 0 and rng.random() < noise.miss_rate:
             fc_precip = 0.0
@@ -207,15 +208,24 @@ class ClimateParams:
 
 
 def _synthesize_raw_day(date: dt.date, climate: ClimateParams,
-                        rng: np.random.Generator) -> WeatherDay:
+                        rng: np.random.Generator) -> tuple:
+    """One day's date and observed channels, in WeatherDay field order.
+
+    The day's nine normal deviates come in two blocks, three before the
+    rain draws and six after, in the order that one draw per value would
+    take them; each value is formed the way numpy forms a scalar draw
+    (loc + scale*z, and exp(mean + sigma*z) for the lognormal), so the
+    stream and the records equal those of per-value draws.
+    """
     # Scalar arithmetic on Python floats throughout: the per-day cost is
     # interpreter overhead, so clipping uses min/max, not np.clip.
     phase = climate.seasonal_phase(date)
     seasonal = math.sin(math.pi * phase)
-    t_avg = climate.t_base_f + climate.t_amp_f * seasonal + float(rng.normal(0.0, climate.t_jitter_f))
+    z_t, z_hi, z_lo = rng.standard_normal(3).tolist()
+    t_avg = climate.t_base_f + climate.t_amp_f * seasonal + climate.t_jitter_f * z_t
     half_spread = 0.5 * climate.t_spread_f
-    t_max = t_avg + half_spread + abs(float(rng.normal(0.0, 2.0)))
-    t_min = t_avg - half_spread - abs(float(rng.normal(0.0, 2.0)))
+    t_max = t_avg + half_spread + abs(2.0 * z_hi)
+    t_min = t_avg - half_spread - abs(2.0 * z_lo)
 
     month = date.month
     wet = rng.random() < climate.precip_event_prob[month - 1]
@@ -224,23 +234,32 @@ def _synthesize_raw_day(date: dt.date, climate: ClimateParams,
         precip = min(max(rng.gamma(climate.precip_shape, climate.precip_scale), 0.02),
                      climate.precip_cap)
 
+    z_et, z_h, z_hmax, z_hmin, z_solar, z_wind = rng.standard_normal(6).tolist()
     # hargreaves_et, inlined, with the day's radiation
     ra = climate.ra_base + climate.ra_amp * seasonal
     p = climate.et_params
     et = p.gamma_c * ra * math.sqrt(p.td) * max(0.0, fahrenheit_to_celsius(t_avg) + 17.8)
-    et *= 1.0 + float(rng.normal(0.0, climate.et_rel_noise))
+    et *= 1.0 + climate.et_rel_noise * z_et
     if wet:
         et *= climate.wet_day_et_factor
     et = max(climate.et_floor, et)
 
-    h_avg = min(max(80.0 - 0.55 * (t_avg - 55.0) + rng.normal(0.0, 6.0), 20.0), 92.0)
-    h_max = min(max(h_avg + 10.0 + abs(rng.normal(0.0, 4.0)), h_avg), 100.0)
-    h_min = min(max(h_avg - 14.0 - abs(rng.normal(0.0, 4.0)), 2.0), h_avg)
-    solar = max(360.0 + 290.0 * seasonal + rng.normal(0.0, 35.0), 60.0)
-    wind = min(max(rng.lognormal(math.log(2.8), 0.45), 0.3), 18.0)
+    h_avg = min(max(80.0 - 0.55 * (t_avg - 55.0) + 6.0 * z_h, 20.0), 92.0)
+    h_max = min(max(h_avg + 10.0 + abs(4.0 * z_hmax), h_avg), 100.0)
+    h_min = min(max(h_avg - 14.0 - abs(4.0 * z_hmin), 2.0), h_avg)
+    solar = max(360.0 + 290.0 * seasonal + 35.0 * z_solar, 60.0)
+    wind = min(max(math.exp(math.log(2.8) + 0.45 * z_wind), 0.3), 18.0)
 
-    return WeatherDay(date, et, precip, t_max, t_avg, t_min,
-                      h_max, h_avg, h_min, solar, wind)
+    return (date, et, precip, t_max, t_avg, t_min, h_max, h_avg, h_min, solar, wind)
+
+
+def _forecasts(et: list[float], precip: list[float], noise: ForecastNoise,
+               rng: np.random.Generator) -> list[tuple[float, float]]:
+    """Each record's forecast channels, drawn from the following record's
+    actuals in order; the final record keeps zero forecasts."""
+    out = [synthesize_forecast(e, p, noise, rng) for e, p in zip(et[1:], precip[1:])]
+    out.append((0.0, 0.0))
+    return out
 
 
 def attach_forecasts(days: list[WeatherDay], noise: ForecastNoise,
@@ -250,14 +269,8 @@ def attach_forecasts(days: list[WeatherDay], noise: ForecastNoise,
     The final record keeps zero forecasts (it has no following day); callers
     that need n control days should supply n + 1 records.
     """
-    out: list[WeatherDay] = []
-    for i, day in enumerate(days):
-        if i + 1 < len(days):
-            pred_et, fc_precip = synthesize_forecast(days[i + 1], noise, rng)
-        else:
-            pred_et = fc_precip = 0.0
-        out.append(WeatherDay(day.date, *day.numeric_channels, pred_et, fc_precip))
-    return out
+    fc = _forecasts([d.et for d in days], [d.precip for d in days], noise, rng)
+    return [WeatherDay(d.date, *d.numeric_channels, *f) for d, f in zip(days, fc)]
 
 
 # A forecast error model, or a function that scales one to a season's mean ET.
@@ -280,9 +293,11 @@ def synthesize_season(seed: int, days: int, climate: ClimateParams | None = None
     rng = np.random.default_rng(seed)
     raw = [_synthesize_raw_day(climate.start + dt.timedelta(days=i), climate, rng)
            for i in range(days)]
+    et = [r[1] for r in raw]
     if callable(noise):
-        noise = noise(float(np.mean([d.et for d in raw])))
-    return attach_forecasts(raw, noise, rng)
+        noise = noise(float(np.mean(et)))
+    fc = _forecasts(et, [r[2] for r in raw], noise, rng)
+    return [WeatherDay(*r, *f) for r, f in zip(raw, fc)]
 
 
 def write_weather_csv(path, days: list[WeatherDay]) -> None:

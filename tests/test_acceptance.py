@@ -141,8 +141,8 @@ def test_shield_soundness(measurement_run, trained_full, roster, levels):
 
     # worst-case agent: a trained snapshot rewired to always propose ~zero
     adversary = copy.deepcopy(trained_full[0])
-    adversary.param_arrays[-3][:] = 0.0
-    adversary.param_arrays[-2][:] = -8.0
+    adversary.net.weights[-1][:] = 0.0
+    adversary.net.biases[-1][:] = -8.0
 
     probes = run_roster(measurement_run, {
         "adversary-shielded": build_controller(measurement_run, "rl",

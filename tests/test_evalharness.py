@@ -36,13 +36,13 @@ from orchardrl.runconfig import (
 from orchardrl.software import software_environment
 
 
-def fake_result(daily_water, n_regions=2, soil=None, name="x"):
+def fake_result(daily_water, n_regions=2, soil=None):
     days = len(daily_water)
     dw = np.asarray(daily_water, dtype=float)
     if soil is None:
         soil = np.full((days, n_regions), 5.5)
     return ControllerResult(
-        name=name, season_days=days, initial_v=np.full(n_regions, 5.5),
+        season_days=days, initial_v=np.full(n_regions, 5.5),
         dates=[dt.date(2020, 3, 2) + dt.timedelta(days=i) for i in range(days)],
         daily_water=dw,
         actions=np.tile((dw / n_regions)[:, None], (1, n_regions)),
@@ -206,11 +206,6 @@ class TestRunRoster:
                                "y": ConstantController(run.n_regions, 0.2)})
         assert np.array_equal(exp.entries["x"].soil, exp.entries["y"].soil)
 
-    def test_empty_roster(self):
-        run = default_run_config(days=5)
-        exp = run_roster(run, {})
-        assert exp.entries == {}
-
 
 class TestBuildController:
     def test_roster_names_cover_baselines(self):
@@ -298,12 +293,3 @@ class TestResultFiles:
         assert manifest["levels"]["v_mad"] == levels.v_mad
         assert manifest["levels"]["v_fc"] == levels.v_fc
         assert manifest["software"] == software_environment()
-
-    def test_empty_experiment_still_writes(self, tmp_path, levels):
-        run = default_run_config(days=5)
-        exp = run_roster(run, {})
-        write_results(tmp_path, exp, levels)
-        assert read_summary(tmp_path / "summary.csv") == {}
-        assert read_daily(tmp_path / "daily.csv") == {}
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["controllers"] == []

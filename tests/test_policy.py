@@ -1,5 +1,6 @@
 """Squashed-Gaussian policy: distribution math, sampling, persistence."""
 
+import copy
 import json
 
 import numpy as np
@@ -24,6 +25,12 @@ def small_policy(n_regions=1, seed=0, zero_mean=False, hidden=(8, 8)):
     if zero_mean:
         policy.net.weights[-1][:] = 0.0
         policy.net.biases[-1][:] = 0.0
+    return policy
+
+
+def with_stats(policy):
+    """Attach normalization statistics, which every snapshot carries."""
+    policy.norm_stats = NormalizationStats(mean=np.zeros(2), std=np.ones(2))
     return policy
 
 
@@ -154,15 +161,45 @@ class TestSampling:
 class TestParameters:
     def test_flat_round_trip(self):
         policy = small_policy(n_regions=2, seed=13)
-        flat = policy.get_flat_params()
         other = small_policy(n_regions=2, seed=99)
-        other.set_flat_params(flat)
-        assert np.array_equal(other.get_flat_params(), flat)
+        other.params[:] = policy.params
+        obs = np.random.default_rng(0).normal(size=OBS_DIM)
+        assert np.array_equal(other.mean_action(obs), policy.mean_action(obs))
+        assert np.array_equal(other.log_std, policy.log_std)
 
     def test_flat_length_checked(self):
         policy = small_policy()
-        with pytest.raises(ValueError):
-            policy.set_flat_params(np.zeros(3))
+        m, cache = policy.forward_mean(np.zeros((1, OBS_DIM)))
+        with pytest.raises(ValueError, match="does not fit"):
+            policy.net.backward(cache, m, np.zeros(3))
+
+    def test_layers_and_log_std_are_views_in_order(self):
+        policy = small_policy(n_regions=2, hidden=(8, 8))
+        arrays = []
+        for W, b in zip(policy.net.weights, policy.net.biases):
+            arrays.extend((W, b))
+        arrays.append(policy.log_std)
+        policy.params[:] = np.arange(policy.params.size)
+        offset = 0
+        for a in arrays:
+            assert np.array_equal(a.ravel(), np.arange(offset, offset + a.size))
+            offset += a.size
+        assert offset == policy.params.size
+
+    def test_deepcopy_keeps_views_on_its_own_params(self):
+        policy = with_stats(small_policy(n_regions=2, seed=16))
+        before = policy.params.copy()
+        clone = copy.deepcopy(policy)
+        assert np.array_equal(clone.params, before)
+        clone.params[:] = 0.5
+        assert np.all(clone.net.weights[0] == 0.5)
+        assert np.all(clone.net.biases[-1] == 0.5)
+        assert np.all(clone.log_std == 0.5)
+        clone.log_std[:] = -1.0
+        assert np.all(clone.params[-2:] == -1.0)
+        assert np.array_equal(policy.params, before)
+        clone.norm_stats.mean[:] = 3.0
+        assert np.all(policy.norm_stats.mean == 0.0)
 
     def test_parameter_count(self):
         policy = small_policy(n_regions=2, hidden=(8, 8))
@@ -193,7 +230,7 @@ class TestPersistence:
         path = tmp_path / "policy.npz"
         policy.save(path)
         back = load_policy(path)
-        assert np.array_equal(back.get_flat_params(), policy.get_flat_params())
+        assert np.array_equal(back.params, policy.params)
         assert back.a_max == policy.a_max
         assert back.hidden == policy.hidden
         assert back.config_hash == "abc123"
@@ -202,22 +239,16 @@ class TestPersistence:
         obs = np.random.default_rng(6).normal(size=OBS_DIM)
         assert np.array_equal(back.mean_action(obs), policy.mean_action(obs))
 
-    def test_round_trip_without_norm_stats(self, tmp_path):
-        policy = small_policy(seed=15)
-        path = tmp_path / "p.npz"
-        policy.save(path)
-        assert load_policy(path).norm_stats is None
-
     def test_snapshot_records_software_environment(self, tmp_path):
         path = tmp_path / "p.npz"
-        small_policy().save(path)
+        with_stats(small_policy()).save(path)
         with np.load(path) as data:
             meta = json.loads(str(data["meta"]))
         assert meta["software"] == software_environment()
 
     def test_unknown_format_version_rejected(self, tmp_path):
         path = tmp_path / "old.npz"
-        small_policy().save(path)
+        with_stats(small_policy()).save(path)
         with np.load(path) as data:
             arrays = dict(data)
         meta = json.loads(str(arrays["meta"]))
@@ -225,6 +256,31 @@ class TestPersistence:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="format"):
             load_policy(path)
+
+    @pytest.mark.parametrize("key", ["w1", "b2", "log_std"])
+    def test_mis_shaped_array_rejected(self, tmp_path, key):
+        path = tmp_path / "p.npz"
+        with_stats(small_policy(n_regions=2)).save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        expected = arrays[key].shape
+        arrays[key] = np.zeros(arrays[key].shape[:-1] + (3,))
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_policy(path)
+        message = str(err.value)
+        assert str(path) in message and key in message
+        assert str(expected) in message and str(arrays[key].shape) in message
+
+    def test_snapshot_without_norm_stats_rejected(self, tmp_path):
+        path = tmp_path / "p.npz"
+        with_stats(small_policy()).save(path)
+        with np.load(path) as data:
+            arrays = {k: v for k, v in data.items() if k != "norm_std"}
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="normalization") as err:
+            load_policy(path)
+        assert str(path) in str(err.value)
 
 
 def test_constructor_validation():

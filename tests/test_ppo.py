@@ -114,6 +114,29 @@ class TestRolloutBatch:
         assert np.array_equal(sub.returns, batch.returns[[3, 0]])
         assert np.array_equal(sub.old_log_prob, batch.old_log_prob[[3, 0]])
 
+    def test_epoch_slices_equal_index_subsets(self):
+        # the trainer permutes the batch once per epoch and slices it; each
+        # slice must hold the rows order[lo:hi] in that order, and give the
+        # same loss and gradient bit for bit
+        policy = small_policy(hidden=(6, 6), n_regions=2)
+        batch = sampled_batch(policy, n=11, seed=3)
+        adv = normalized_advantages(batch.returns)
+        order = np.random.default_rng(0).permutation(len(batch))
+        shuffled, shuffled_adv = batch.subset(order), adv[order]
+        for lo in range(0, len(batch), 4):
+            by_slice = shuffled.subset(slice(lo, lo + 4))
+            by_index = batch.subset(order[lo:lo + 4])
+            assert np.shares_memory(by_slice.obs, shuffled.obs)
+            for name in ("obs", "pre_squash", "old_log_prob", "returns"):
+                assert (getattr(by_slice, name).tobytes()
+                        == getattr(by_index, name).tobytes())
+            loss_s, grad_s = ppo_loss_and_grads(
+                by_slice, policy, 0.3, advantages=shuffled_adv[lo:lo + 4])
+            loss_i, grad_i = ppo_loss_and_grads(
+                by_index, policy, 0.3, advantages=adv[order[lo:lo + 4]])
+            assert loss_s == loss_i
+            assert grad_s.tobytes() == grad_i.tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             RolloutBatch(obs=np.empty((0, 3)), pre_squash=np.empty((0, 1)),
@@ -166,11 +189,11 @@ class TestPpoLoss:
     def test_zero_advantages_zero_loss_and_gradient(self):
         policy = small_policy()
         batch = sampled_batch(policy, n=6)
-        loss, grads = ppo_loss_and_grads(batch, policy, 0.3,
-                                         advantages=np.zeros(6))
+        loss, grad = ppo_loss_and_grads(batch, policy, 0.3,
+                                        advantages=np.zeros(6))
         assert loss == 0.0
-        for g in grads:
-            assert np.all(g == 0.0)
+        assert grad.shape == policy.params.shape
+        assert np.all(grad == 0.0)
 
     def test_positive_advantage_clips_from_above(self):
         # ratio 1.5 with eps 0.3 and advantage 1 pins the surrogate at 1.3
@@ -243,10 +266,10 @@ class TestGradients:
 
     def test_gradient_check_restores_parameters(self):
         policy = small_policy(seed=8)
-        theta0 = policy.get_flat_params()
+        theta0 = policy.params.copy()
         batch = sampled_batch(policy, n=4, seed=9)
         gradient_check(policy, batch)
-        assert np.array_equal(policy.get_flat_params(), theta0)
+        assert np.array_equal(policy.params, theta0)
 
     def test_gradient_check_guards_large_policies(self):
         policy = SquashedGaussianPolicy(obs_dim=26, n_regions=2, a_max=0.54,
@@ -260,11 +283,9 @@ class TestGradients:
         policy = small_policy(seed=10)
         batch = sampled_batch(policy, n=16, seed=11)
         adv = normalized_advantages(batch.returns)
-        loss0, grads = ppo_loss_and_grads(batch, policy, 0.3, advantages=adv)
-        flat = np.concatenate([g.ravel() for g in grads])
-        assert np.linalg.norm(flat) > 1e-8
-        theta0 = policy.get_flat_params()
-        policy.set_flat_params(theta0 - 1e-3 * flat / np.linalg.norm(flat))
+        loss0, grad = ppo_loss_and_grads(batch, policy, 0.3, advantages=adv)
+        assert np.linalg.norm(grad) > 1e-8
+        policy.params -= 1e-3 * grad / np.linalg.norm(grad)
         loss1 = ppo_loss(batch, policy, 0.3, advantages=adv)
         assert loss1 < loss0
 
@@ -345,7 +366,7 @@ class TestTrain:
         env = IrrigationEnv(*conserving_season(et=0.1, episode_length=4))
         pol_a, curve_a = train(cfg, env, seed=7)
         pol_b, curve_b = train(cfg, env, seed=7)
-        assert np.array_equal(pol_a.get_flat_params(), pol_b.get_flat_params())
+        assert np.array_equal(pol_a.params, pol_b.params)
         assert curve_a == curve_b
 
     def test_seed_changes_outcome(self):
@@ -356,8 +377,7 @@ class TestTrain:
         env = IrrigationEnv(*conserving_season(et=0.1, episode_length=4))
         pol_a, _ = train(cfg, env, seed=7)
         pol_b, _ = train(cfg, env, seed=8)
-        assert not np.array_equal(pol_a.get_flat_params(),
-                                  pol_b.get_flat_params())
+        assert not np.array_equal(pol_a.params, pol_b.params)
 
     def test_normalization_stats_leave_month_one_hot_raw(self):
         vec = IrrigationEnv(*conserving_season(et=0.1, episode_length=4))

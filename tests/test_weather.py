@@ -103,9 +103,8 @@ class TestWeatherDayValidation:
 
 class TestSynthesizeForecast:
     def test_zero_noise_is_exact(self):
-        day = make_day(et=0.15, precip=0.3)
-        et_fc, p_fc = synthesize_forecast(day, ForecastNoise(),
-                                         np.random.default_rng(0))
+        et_fc, p_fc = synthesize_forecast(0.15, 0.3, ForecastNoise(),
+                                          np.random.default_rng(0))
         assert et_fc == 0.15
         assert p_fc == 0.3
 
@@ -113,31 +112,31 @@ class TestSynthesizeForecast:
         # same generator stream on both sides pins the sampled perturbation
         noise = ForecastNoise(et_std=0.02)
         sample = float(np.random.default_rng(42).normal(0.0, 0.02))
-        et_fc, _ = synthesize_forecast(make_day(et=0.15), noise,
+        et_fc, _ = synthesize_forecast(0.15, 0.0, noise,
                                        np.random.default_rng(42))
         assert et_fc == pytest.approx(max(0.0, 0.15 + sample), abs=1e-12)
 
     def test_et_floored_at_zero(self):
         noise = ForecastNoise(et_std=5.0)
         for seed in range(50):
-            et_fc, _ = synthesize_forecast(make_day(et=0.01), noise,
+            et_fc, _ = synthesize_forecast(0.01, 0.0, noise,
                                            np.random.default_rng(seed))
             assert et_fc >= 0.0
 
     def test_certain_miss_zeroes_rain(self):
         noise = ForecastNoise(miss_rate=1.0)
-        _, p_fc = synthesize_forecast(make_day(precip=0.8), noise,
+        _, p_fc = synthesize_forecast(0.15, 0.8, noise,
                                       np.random.default_rng(3))
         assert p_fc == 0.0
 
     def test_certain_false_alarm_invents_rain(self):
         noise = ForecastNoise(false_alarm_rate=1.0, false_alarm_mean=0.1)
-        _, p_fc = synthesize_forecast(make_day(precip=0.0), noise,
+        _, p_fc = synthesize_forecast(0.15, 0.0, noise,
                                       np.random.default_rng(3))
         assert p_fc > 0.0
 
     def test_dry_day_stays_dry_without_false_alarms(self):
-        _, p_fc = synthesize_forecast(make_day(precip=0.0), ForecastNoise(),
+        _, p_fc = synthesize_forecast(0.15, 0.0, ForecastNoise(),
                                       np.random.default_rng(3))
         assert p_fc == 0.0
 
@@ -320,6 +319,13 @@ class TestGoldenDigests:
     ])
     def test_synthesized_season(self, seed, noise, digest):
         assert _digest(synthesize_season(seed, 247, noise=noise)) == digest
+
+    def test_rain_every_month(self):
+        # every day rains with p=0.5, so the rain draw and the gamma draw
+        # between a day's two blocks of normal deviates both run often
+        climate = ClimateParams(precip_event_prob=(0.5,) * 12)
+        assert _digest(synthesize_season(11, 247, climate=climate)) == \
+            "4fd4a3f57f7b867018c94cf9fb9065f01ab2d97dcc8c5e164756b4c9b42a6e10"
 
     def test_csv_forecasts(self, tmp_path):
         path = tmp_path / "season.csv"
