@@ -54,14 +54,13 @@ from .agent import (
 )
 from .controllers import (
     ConstantController,
-    ControllerDecision,
     EtController,
     RlController,
     SensorController,
     SensorControllerConfig,
     ShieldedController,
 )
-from .safety import ShieldConfig, ShieldReport, screen
+from .safety import ShieldConfig, screen_rows
 from .evalharness import (
     ControllerResult,
     ExperimentResult,

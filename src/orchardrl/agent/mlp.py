@@ -18,22 +18,29 @@ import numpy as np
 
 class Mlp:
     """Fully connected network: sizes = (n_in, hidden..., n_out), its
-    parameters the views of a flat vector of length parameter_count(sizes)."""
+    parameters the views of a flat vector of length parameter_count(sizes).
 
-    def __init__(self, sizes: tuple[int, ...], params: np.ndarray,
-                 seed: int | None = None):
+    Construction only lays the layers over the vector; initialize draws
+    their starting values, and a network rebuilt from stored values skips it.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], params: np.ndarray):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
         self.sizes = tuple(sizes)
         self.weights, self.biases = self.layer_views(params)
+
+    def initialize(self, seed: int | None = None) -> None:
+        """Draw fan-in-scaled normal weights from default_rng(seed), the
+        output layer's shrunk 100-fold, and zero every bias."""
         rng = np.random.default_rng(seed)
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             # rng.normal(0, scale) drawn in place: numpy forms it as scale * z
             rng.standard_normal(out=W)
-            W *= 1.0 / math.sqrt(sizes[i])
+            W *= 1.0 / math.sqrt(self.sizes[i])
             if i == last:
                 W *= 0.01
             b[...] = 0.0
@@ -65,8 +72,12 @@ class Mlp:
         h = X
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W + b
-            h = z if i == last else np.tanh(z)
+            # bias and tanh in place on the fresh product: the values of
+            # h @ W + b and tanh of it, without two temporaries per layer
+            h = h @ W
+            h += b
+            if i != last:
+                np.tanh(h, out=h)
             activations.append(h)
         return h, activations
 

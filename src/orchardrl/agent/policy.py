@@ -46,6 +46,14 @@ class SquashedGaussianPolicy:
     def __init__(self, obs_dim: int, n_regions: int, a_max: float,
                  hidden: tuple[int, ...] = (64, 64), seed: int | None = None,
                  init_log_std: float = math.log(0.5)):
+        self._allocate(obs_dim, n_regions, a_max, hidden)
+        self.net.initialize(seed)
+        self.log_std[:] = float(np.clip(init_log_std, LOG_STD_MIN, LOG_STD_MAX))
+
+    def _allocate(self, obs_dim: int, n_regions: int, a_max: float,
+                  hidden: tuple[int, ...]) -> None:
+        """Set the shape and an uninitialized parameter vector; __init__
+        draws the starting values, load_policy reads them from a file."""
         if obs_dim < 1 or n_regions < 1:
             raise ValueError("obs_dim and n_regions must be positive")
         if a_max <= 0:
@@ -55,12 +63,17 @@ class SquashedGaussianPolicy:
         self.a_max = a_max
         self.hidden = tuple(hidden)
         sizes = (obs_dim, *self.hidden, n_regions)
-        self.params = np.empty(Mlp.parameter_count(sizes) + n_regions)
-        self.net = Mlp(sizes, self.params[:-n_regions], seed=seed)
-        self.log_std = self.params[-n_regions:]
-        self.log_std[:] = float(np.clip(init_log_std, LOG_STD_MIN, LOG_STD_MAX))
+        self._bind(np.empty(Mlp.parameter_count(sizes) + n_regions))
         self.norm_stats: NormalizationStats | None = None
         self.config_hash = ""
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make params the parameter vector: the network's layers and the
+        log-std become views of it."""
+        self.params = params
+        self.net = Mlp((self.obs_dim, *self.hidden, self.n_regions),
+                       params[:-self.n_regions])
+        self.log_std = params[-self.n_regions:]
 
     # -- parameters --------------------------------------------------------
 
@@ -74,11 +87,7 @@ class SquashedGaussianPolicy:
         so training the copy's params would leave its network unchanged)."""
         clone = copy.copy(self)
         memo[id(self)] = clone
-        clone.params = self.params.copy()
-        clone.net = copy.copy(self.net)
-        clone.net.weights, clone.net.biases = self.net.layer_views(
-            clone.params[:-self.n_regions])
-        clone.log_std = clone.params[-self.n_regions:]
+        clone._bind(self.params.copy())
         clone.norm_stats = copy.deepcopy(self.norm_stats, memo)
         return clone
 
@@ -96,7 +105,7 @@ class SquashedGaussianPolicy:
         if obs.shape[1] != self.obs_dim:
             raise ValueError(f"observation dimension {obs.shape[1]} != {self.obs_dim}")
         m, cache = self.net.forward(obs)
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("non-finite network output (diverged parameters?)")
         return m, cache
 
@@ -166,13 +175,12 @@ def load_policy(path) -> SquashedGaussianPolicy:
             )
         if "norm_mean" not in data or "norm_std" not in data:
             raise ValueError(f"{path}: snapshot has no normalization statistics")
-        policy = SquashedGaussianPolicy(
-            obs_dim=int(meta["obs_dim"]),
-            n_regions=int(meta["n_regions"]),
-            a_max=float(meta["a_max"]),
-            hidden=tuple(int(h) for h in meta["hidden"]),
-            seed=0,
-        )
+        # every parameter is read from the file below, so none is drawn
+        policy = SquashedGaussianPolicy.__new__(SquashedGaussianPolicy)
+        policy._allocate(obs_dim=int(meta["obs_dim"]),
+                         n_regions=int(meta["n_regions"]),
+                         a_max=float(meta["a_max"]),
+                         hidden=tuple(int(h) for h in meta["hidden"]))
         policy.config_hash = meta.get("config_hash", "")
         targets = {"log_std": policy.log_std}
         for i, (W, b) in enumerate(zip(policy.net.weights, policy.net.biases)):

@@ -5,9 +5,11 @@ Every controller reads one row of the environment's observation layout
 columns, the sensor baseline the soil-water columns, the RL controller the
 whole row, and the shield the soil-water and forecast columns.  All
 controllers are pure functions of that row (plus their frozen config or
-policy), so replaying a logged season reproduces every decision.  Decisions
-carry a source tag — agent, et_baseline, sensor_baseline, shield_fallback —
-so season logs can attribute every drop of water.
+policy), so replaying a logged season reproduces every decision.
+decide(obs) returns the per-region depths; each controller class carries a
+fixed source tag (agent, et_baseline, sensor_baseline), and a shielded
+controller's days the shield took over read shield_fallback, so season logs
+can attribute every drop of water.
 """
 
 from __future__ import annotations
@@ -19,19 +21,11 @@ import numpy as np
 from .agent.policy import SquashedGaussianPolicy
 from .env import OBS_ET, OBS_PRECIP, channel, soil_water
 from .hydrology import SoilLevels
-from .safety import ShieldConfig, ShieldReport, screen
 
 SOURCE_AGENT = "agent"
 SOURCE_ET = "et_baseline"
 SOURCE_SENSOR = "sensor_baseline"
 SOURCE_SHIELD = "shield_fallback"
-
-
-@dataclass(frozen=True)
-class ControllerDecision:
-    action: np.ndarray
-    source: str
-    report: ShieldReport | None = None
 
 
 class EtController:
@@ -41,15 +35,15 @@ class EtController:
     depth to every region (centralized control), capped at a_max.
     """
 
+    source = SOURCE_ET
+
     def __init__(self, n_regions: int, a_max: float):
         self.n_regions = n_regions
         self.a_max = a_max
 
-    def decide(self, obs: np.ndarray) -> ControllerDecision:
+    def decide(self, obs: np.ndarray) -> np.ndarray:
         loss = channel(obs, OBS_ET) - channel(obs, OBS_PRECIP)
-        dose = min(self.a_max, max(0.0, loss))
-        return ControllerDecision(action=np.full(self.n_regions, dose),
-                                  source=SOURCE_ET)
+        return np.full(self.n_regions, min(self.a_max, max(0.0, loss)))
 
 
 @dataclass(frozen=True)
@@ -90,6 +84,8 @@ class SensorController:
     defect.
     """
 
+    source = SOURCE_SENSOR
+
     def __init__(self, config: SensorControllerConfig, fill_gain: float,
                  a_max: float):
         if fill_gain <= 0:
@@ -98,12 +94,11 @@ class SensorController:
         self.fill_gain = fill_gain
         self.a_max = a_max
 
-    def decide(self, obs: np.ndarray) -> ControllerDecision:
+    def decide(self, obs: np.ndarray) -> np.ndarray:
         v = soil_water(obs)
         fill = np.minimum(self.a_max,
                           (self.config.upper_threshold - v) / self.fill_gain)
-        a = np.where(v < self.config.lower_threshold, fill, 0.0)
-        return ControllerDecision(action=a, source=SOURCE_SENSOR)
+        return np.where(v < self.config.lower_threshold, fill, 0.0)
 
 
 class RlController:
@@ -112,48 +107,44 @@ class RlController:
     The policy must carry the normalization statistics it was trained with.
     """
 
+    source = SOURCE_AGENT
+
     def __init__(self, policy: SquashedGaussianPolicy):
         if policy.norm_stats is None:
             raise ValueError("policy has no normalization statistics attached")
         self.policy = policy
 
-    def decide(self, obs: np.ndarray) -> ControllerDecision:
-        action = self.policy.mean_action(self.policy.norm_stats.apply(obs))
-        return ControllerDecision(action=np.asarray(action, dtype=float),
-                                  source=SOURCE_AGENT)
+    def decide(self, obs: np.ndarray) -> np.ndarray:
+        return self.policy.mean_action(self.policy.norm_stats.apply(obs))
 
 
 class ConstantController:
     """Fixed-depth controller; the zero-depth case is the adversarial probe
     used to exercise the shield."""
 
+    source = SOURCE_AGENT
+
     def __init__(self, n_regions: int, depth: float = 0.0):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         self.action = np.full(n_regions, float(depth))
 
-    def decide(self, obs: np.ndarray) -> ControllerDecision:
-        return ControllerDecision(action=self.action.copy(), source=SOURCE_AGENT)
+    def decide(self, obs: np.ndarray) -> np.ndarray:
+        return self.action.copy()
 
 
 class ShieldedController:
-    """Wrap any controller with the safety screen.
+    """A controller whose every proposal the run's shield screens.
 
-    The inner proposal is screened each cycle; on a trigger the fallback's
-    action, raised wherever the shield still predicts stress to the least
-    dose it predicts safe, executes and the decision is tagged
-    shield_fallback.  The shield report rides along on every decision either
-    way.
+    It has no decide of its own: the season runner asks inner for the day's
+    proposal and screens every shielded episode's row in one
+    safety.screen_rows call, with the run's shield and the ET baseline as
+    fallback.  With enabled False the proposal always executes and only the
+    shield's counterfactual deficit is recorded.  source is inner's tag; the
+    days the shield took over read shield_fallback instead.
     """
 
-    def __init__(self, inner, shield: ShieldConfig, fallback):
+    def __init__(self, inner, enabled: bool = True):
         self.inner = inner
-        self.shield = shield
-        self.fallback = fallback
-
-    def decide(self, obs: np.ndarray) -> ControllerDecision:
-        proposal = self.inner.decide(obs)
-        action, report = screen(self.shield, obs, proposal.action,
-                                self.fallback)
-        source = SOURCE_SHIELD if report.triggered else proposal.source
-        return ControllerDecision(action=action, source=source, report=report)
+        self.enabled = enabled
+        self.source = inner.source

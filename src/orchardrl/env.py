@@ -287,8 +287,11 @@ class IrrigationEnv:
         a = np.asarray(actions, dtype=float)
         if a.shape != self.v.shape:
             raise ValueError(f"actions must have shape {self.v.shape}")
-        if np.any(a < -1e-9) or np.any(a > plant.a_max + 1e-9):
-            raise ValueError(f"action outside [0, {plant.a_max}]")
+        lo, hi = -1e-9, plant.a_max + 1e-9
+        # NaN fails both comparisons, so it is rejected like an out-of-range value
+        if not (a.min() >= lo and a.max() <= hi):
+            bad = a[~((a >= lo) & (a <= hi))][0]
+            raise ValueError(f"action {float(bad)!r} outside [0, {plant.a_max}]")
         a = np.clip(a, 0.0, plant.a_max)
 
         nxt = self._starts + self._day + 1

@@ -5,8 +5,9 @@ controller, every episode reset with the run's seed.  So every controller
 faces the same weather, initial soil state and process-noise stream by
 construction, and water and stress metrics differ only through the
 decisions.  Each day every controller decides on its own episode's
-observation row.  Results persist as a daily CSV, a
-summary CSV, and a JSON manifest carrying the config fingerprint.
+observation row, and one shield call screens the rows of every shielded
+controller.  Results persist as a daily CSV, a summary CSV, and a JSON
+manifest carrying the config fingerprint.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .agent.policy import SquashedGaussianPolicy
 from .agent.ppo import CurvePoint, train
 from .controllers import (
+    SOURCE_SHIELD,
     ConstantController,
     EtController,
     RlController,
@@ -39,7 +41,7 @@ from .runconfig import (
     build_training_weather,
     config_hash,
 )
-from .safety import ShieldConfig
+from .safety import ShieldConfig, screen_rows
 from .software import software_environment
 
 # Controllers that deploy a trained policy; rl-mad's is trained on the
@@ -115,56 +117,63 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     The season weather has days + 1 records, so every episode starts on its
     first day.  Every episode resets with the run's seed, so all controllers
     see identical initial soil water and noise streams, and a controller's
-    season does not depend on which others share the roster.
+    season does not depend on which others share the roster.  Each day the
+    run's shield screens the proposals of every ShieldedController in one
+    call, with the ET baseline as fallback.
     """
     season = build_season_weather(run)
     names = list(controllers)
+    ctls = [controllers[name] for name in names]
     E, n = len(names), run.n_regions
     env = IrrigationEnv(build_env_config(run), season)
     obs = env.reset([run.seed] * E)
 
+    screened = np.flatnonzero([isinstance(c, ShieldedController) for c in ctls])
+    deciders = [(c.inner if isinstance(c, ShieldedController) else c).decide
+                for c in ctls]
+    shield = build_shield_config(run) if screened.size else None
+    fallback = EtController(n, run.env.a_max)
+    enabled = np.array([ctls[e].enabled for e in screened], dtype=bool)
+
     initial_v = env.v.copy()
     actions = np.zeros((E, run.days, n))
     soil = np.zeros((E, run.days, n))
-    sources: list[list[str]] = [[] for _ in names]
     deficits = np.full((E, run.days), np.nan)
     triggered = np.zeros((E, run.days), dtype=bool)
+    proposals = np.empty((E, n))
 
     for day in range(run.days):
-        decisions = [controllers[name].decide(row) for name, row in zip(names, obs)]
-        obs, _ = env.step(np.reshape([d.action for d in decisions], (E, n)))
+        for e, decide in enumerate(deciders):
+            proposals[e] = decide(obs[e])
+        if screened.size:
+            (proposals[screened], deficits[screened, day],
+             triggered[screened, day]) = screen_rows(
+                shield, obs[screened], proposals[screened], fallback, enabled)
+        obs, _ = env.step(proposals)
         actions[:, day] = env.a
         soil[:, day] = env.v
-        for e, decision in enumerate(decisions):
-            sources[e].append(decision.source)
-            if decision.report is not None:
-                deficits[e, day] = decision.report.deficit_sum
-                triggered[e, day] = decision.report.triggered
 
     dates = [w.date for w in season[1:]]
-    entries = {
-        name: ControllerResult(
-            season_days=run.days, initial_v=initial_v[e],
-            dates=list(dates), daily_water=actions[e].sum(axis=1),
-            actions=actions[e],
-            soil=soil[e], sources=sources[e], deficits=deficits[e],
-            triggered=triggered[e])
-        for e, name in enumerate(names)}
-    return ExperimentResult(season_days=run.days, seed=run.seed,
-                            config_fingerprint=config_hash(run),
-                            entries=entries)
+    return ExperimentResult(
+        season_days=run.days, seed=run.seed, config_fingerprint=config_hash(run),
+        entries={name: ControllerResult(
+            season_days=run.days, initial_v=initial_v[e], dates=list(dates),
+            daily_water=actions[e].sum(axis=1), actions=actions[e], soil=soil[e],
+            sources=[SOURCE_SHIELD if t else ctls[e].source
+                     for t in triggered[e].tolist()],
+            deficits=deficits[e], triggered=triggered[e])
+            for e, name in enumerate(names)})
 
 
 # -- controller construction -------------------------------------------------
 
 
-def build_shield_config(run: RunConfig, enabled: bool = True) -> ShieldConfig:
+def build_shield_config(run: RunConfig) -> ShieldConfig:
     env_cfg = build_env_config(run)
     return ShieldConfig(
         model=build_shield_models(run),
         v_mad=env_cfg.levels.v_mad,
         detector_threshold=run.shield.detector_threshold,
-        enabled=enabled,
         cap=env_cfg.saturation_cap,
         a_max=run.env.a_max,
     )
@@ -179,9 +188,8 @@ def build_controller(run: RunConfig, name: str,
     policy trained under the ablated reward (a run whose reward.kind is
     "mad-only"); the caller supplies the right snapshot.
     """
-    et = EtController(run.n_regions, run.env.a_max)
     if name == "et":
-        return et
+        return EtController(run.n_regions, run.env.a_max)
     if name == "sensor":
         run.sensor.validate_against(build_levels(run))
         fill_gain = build_shield_models(run)[0].c2
@@ -190,8 +198,8 @@ def build_controller(run: RunConfig, name: str,
     if name in POLICY_NAMES:
         if policy is None:
             raise ValueError(f"controller '{name}' needs a trained policy")
-        shield = build_shield_config(run, enabled=name != "rl-noshield")
-        return ShieldedController(RlController(policy), shield, et)
+        return ShieldedController(RlController(policy),
+                                  enabled=name != "rl-noshield")
     if name == "zero":
         return ConstantController(run.n_regions, 0.0)
     raise ValueError(f"unknown controller '{name}' (choices: {CONTROLLER_NAMES})")
@@ -212,6 +220,33 @@ def train_policy_for_run(run: RunConfig
 # -- persistence ---------------------------------------------------------------
 
 
+# csv.writer's default dialect: a field holding one of these characters is
+# quoted, with its quote characters doubled; rows end in CRLF
+_CSV_SPECIAL = frozenset(',"\r\n')
+_CSV_EOL = "\r\n"
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as one field of a row."""
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _daily_rows(name: str, entry: ControllerResult):
+    """One controller's daily.csv lines, byte for byte what csv.writer
+    writes for [name, day, date, repr of each float, deficit or "",
+    triggered as 0/1, source]."""
+    name = _csv_field(name)
+    values = np.column_stack([entry.daily_water, entry.actions, entry.soil]).tolist()
+    for day, (date, row, deficit, trig, source) in enumerate(zip(
+            entry.dates, values, entry.deficits.tolist(),
+            entry.triggered.tolist(), entry.sources)):
+        yield (f"{name},{day},{date.isoformat()},{','.join(map(repr, row))},"
+               f"{'' if deficit != deficit else repr(deficit)},{int(trig)},"
+               f"{_csv_field(source)}{_CSV_EOL}")
+
+
 def write_results(outdir, experiment: ExperimentResult,
                   levels: SoilLevels) -> None:
     """Persist summary.csv, daily.csv, and manifest.json under outdir; the
@@ -229,22 +264,13 @@ def write_results(outdir, experiment: ExperimentResult,
                              entry.shield_trigger_days, entry.season_days))
 
     with open(os.path.join(outdir, "daily.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
         header = ["controller", "day", "date", "daily_water"]
         header += [f"a_{i}" for i in range(n_regions)]
         header += [f"v_{i}" for i in range(n_regions)]
         header += ["deficit", "triggered", "source"]
-        writer.writerow(header)
+        fh.write(",".join(header) + _CSV_EOL)
         for name, entry in experiment.entries.items():
-            for day in range(entry.season_days):
-                row = [name, day, entry.dates[day].isoformat(),
-                       repr(float(entry.daily_water[day]))]
-                row += [repr(float(x)) for x in entry.actions[day]]
-                row += [repr(float(x)) for x in entry.soil[day]]
-                d = entry.deficits[day]
-                row += ["" if np.isnan(d) else repr(float(d)),
-                        int(entry.triggered[day]), entry.sources[day]]
-                writer.writerow(row)
+            fh.write("".join(_daily_rows(name, entry)))
 
     manifest = {
         "config_fingerprint": experiment.config_fingerprint,

@@ -17,6 +17,10 @@ per region.
 The detector aggregates per-region positive parts,
 sum_i max(0, v_mad - v_hat_i), so a well-watered region can never mask
 another region's predicted deficit.
+
+Every function here takes k observation rows with one proposal each and
+screens them at once; the arithmetic is elementwise per row, so a row's
+result is bit for bit that of screening it alone.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ class ShieldConfig:
     saturates the shield's predictions the same way the simulator saturates
     true storage; a_max caps the corrected dose on a takeover, since the
     valves cannot apply more.  coef is the models' coefficient table, built
-    once here.
+    once here.  Whether a screened controller may be overridden is the
+    caller's choice (screen_rows' enabled), not the shield's.
     """
 
     model: tuple[PredictorModel, ...]
@@ -51,7 +56,6 @@ class ShieldConfig:
     cap: float
     a_max: float
     detector_threshold: float = 0.0
-    enabled: bool = True
     coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -68,15 +72,6 @@ class ShieldConfig:
         object.__setattr__(self, "coef", coef)
 
 
-@dataclass(frozen=True)
-class ShieldReport:
-    """What the screen saw and did for one control cycle."""
-
-    predicted_v_next: np.ndarray
-    deficit_sum: float
-    triggered: bool
-
-
 # Bounds the rounding fix-up in _least_safe_action; a cap below v_mad would
 # otherwise make an uncapped dose climb forever.
 _MAX_ULP_STEPS = 8
@@ -84,29 +79,32 @@ _MAX_ULP_STEPS = 8
 
 def _predict(config: ShieldConfig, obs: np.ndarray,
              action: np.ndarray) -> np.ndarray:
-    """The shield's next-day prediction for every region, from the forecast
-    columns of an observation row; bit for bit predict_next's."""
+    """The shield's next-day prediction for every region of each observation
+    row, from its forecast columns; bit for bit predict_next's."""
     return predict_next_array(config.coef, soil_water(obs), action,
-                              channel(obs, OBS_FORECAST_PRECIP_NEXT),
-                              channel(obs, OBS_PREDICTED_ET_NEXT), cap=config.cap)
+                              channel(obs, OBS_FORECAST_PRECIP_NEXT)[..., None],
+                              channel(obs, OBS_PREDICTED_ET_NEXT)[..., None],
+                              cap=config.cap)
 
 
 def predicted_deficit(config: ShieldConfig, obs: np.ndarray,
-                      action: np.ndarray) -> tuple[np.ndarray, float]:
-    """Next-day per-region predictions under an action, and the aggregate
-    stress deficit those predictions imply."""
-    a = np.asarray(action, dtype=float).reshape(-1)
-    if len(a) != len(config.model):
-        raise ValueError(f"action has {len(a)} regions; the shield has "
+                      action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Next-day per-region predictions under actions, and the aggregate
+    stress deficit those predictions imply: (k, n) and (k,) for k
+    observation rows with one action each, (n,) and a scalar for one row."""
+    a = np.asarray(action, dtype=float)
+    if a.shape[-1] != len(config.model):
+        raise ValueError(f"action has {a.shape[-1]} regions; the shield has "
                          f"{len(config.model)} models")
     v_hat = _predict(config, obs, a)
-    return v_hat, float(np.maximum(0.0, config.v_mad - v_hat).sum())
+    return v_hat, np.maximum(0.0, config.v_mad - v_hat).sum(axis=-1)
 
 
 def _least_safe_action(config: ShieldConfig, obs: np.ndarray,
                        base: np.ndarray) -> np.ndarray:
     """Raise each region the shield predicts below v_mad under base to the
-    least dose it predicts reaches v_mad, capped at config.a_max.
+    least dose it predicts reaches v_mad, capped at config.a_max; obs holds
+    one row per row of base.
 
     Solving the affine model gives a*_i = (v_mad - c1 v_i - c2 p - c3 e - b)
     / c2, and a region is raised when a*_i exceeds its base dose.  Rounding
@@ -115,12 +113,12 @@ def _least_safe_action(config: ShieldConfig, obs: np.ndarray,
     the model certifies it.  Regions the model says irrigation cannot reach
     (c2 <= 0) keep the base dose.
     """
-    a = np.array(base, dtype=float).reshape(-1)
+    a = np.array(base, dtype=float)
     c1, c2, c3, b = config.coef
     with np.errstate(divide="ignore", invalid="ignore"):
         a_star = (config.v_mad - c1 * soil_water(obs)
-                  - c2 * channel(obs, OBS_FORECAST_PRECIP_NEXT)
-                  - c3 * channel(obs, OBS_PREDICTED_ET_NEXT) - b) / c2
+                  - c2 * channel(obs, OBS_FORECAST_PRECIP_NEXT)[..., None]
+                  - c3 * channel(obs, OBS_PREDICTED_ET_NEXT)[..., None] - b) / c2
     raised = (a_star > a) & (c2 > 0)
     if not np.count_nonzero(raised):
         return a
@@ -134,25 +132,27 @@ def _least_safe_action(config: ShieldConfig, obs: np.ndarray,
     return a
 
 
-def screen(config: ShieldConfig, obs: np.ndarray, proposed: np.ndarray,
-           fallback) -> tuple[np.ndarray, ShieldReport]:
-    """Screen a proposed action for the day of observation row obs; on a
-    trigger, execute a certified one.
+def screen_rows(config: ShieldConfig, obs: np.ndarray, proposed: np.ndarray,
+                fallback, enabled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Screen k proposed actions, one per observation row of the (k, obs_dim)
+    obs; on a trigger, execute a certified action instead.
 
-    fallback is any controller object whose decide(obs) returns a decision
-    with an ``action`` attribute.  On a trigger each region gets the larger
-    of the fallback's dose and the least dose the shield predicts safe
-    (capped at a_max), and that corrected action executes.  With the shield
-    disabled the proposal always passes through, but the report still
-    records the counterfactual deficit so ablation runs can count
-    would-have-triggered days.
+    proposed is (k, n_regions); enabled is one bool or a (k,) mask saying
+    which rows the shield may override.  Returns the (k, n_regions)
+    actions to execute, the (k,) predicted deficits of the proposals and
+    the (k,) trigger mask.  An enabled row triggers when its deficit exceeds
+    the detector threshold; it then gets, region by region, the larger of
+    the fallback's dose and the least dose the shield predicts safe (capped
+    at a_max).  fallback is any controller whose decide(obs) returns one
+    row's depths; only triggered rows consult it.  A disabled row's proposal
+    always passes through, but its deficit is still returned, so ablation
+    runs can count would-have-triggered days.
     """
-    proposed = np.asarray(proposed, dtype=float).reshape(-1)
-    v_hat, deficit = predicted_deficit(config, obs, proposed)
-    would_trigger = deficit > config.detector_threshold
-    if config.enabled and would_trigger:
-        corrected = _least_safe_action(config, obs, fallback.decide(obs).action)
-        return corrected, ShieldReport(
-            predicted_v_next=v_hat, deficit_sum=deficit, triggered=True)
-    return proposed.copy(), ShieldReport(
-        predicted_v_next=v_hat, deficit_sum=deficit, triggered=False)
+    actions = np.array(proposed, dtype=float)
+    _, deficits = predicted_deficit(config, obs, actions)
+    triggered = np.asarray(enabled) & (deficits > config.detector_threshold)
+    if triggered.any():
+        rows = obs[triggered]
+        base = np.array([fallback.decide(row) for row in rows])
+        actions[triggered] = _least_safe_action(config, rows, base)
+    return actions, deficits, triggered

@@ -198,7 +198,7 @@ def test_baseline_behaviors(default_run, levels):
         et = float(rng.uniform(0.0, 0.5))
         precip = float(rng.uniform(0.0, 0.4))
         a = et_ctl.decide(state_for(rng.uniform(3.0, 8.0, size=3),
-                                    et, precip)).action
+                                    et, precip))
         expected = min(default_run.env.a_max, max(0.0, et - precip))
         uniform &= bool(np.all(a == a[0])) and a[0] == pytest.approx(expected)
 
@@ -207,7 +207,7 @@ def test_baseline_behaviors(default_run, levels):
                               fill_gain=TREE1_MODEL.c2, a_max=10.0)
     v, watered = 6.0, []
     for _ in range(40):
-        a = sensor.decide(state_for([v], 0.2, 0.0)).action[0]
+        a = sensor.decide(state_for([v], 0.2, 0.0))[0]
         watered.append(a > 0.0)
         v = predict_next(TREE1_MODEL, v, a, 0.0, 0.2)
     events = [d for d, w in enumerate(watered) if w]

@@ -1,6 +1,7 @@
 """Command-line interface, driven end-to-end in subprocesses."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from orchardrl.agent.policy import load_policy
+from orchardrl.agent.policy import SquashedGaussianPolicy, load_policy
+from orchardrl.env import NormalizationStats
 from orchardrl.evalharness import read_summary
 from orchardrl.predictor import (
     TREE2_MODEL,
@@ -292,3 +294,45 @@ class TestCompare:
                 assert "  region 1: " in res.stdout
         assert outputs["measured"] == outputs["exact"]
         assert outputs["measured"] != outputs["noisy"]
+
+
+class TestGoldenOutputs:
+    """summary.csv and daily.csv of a small compare, pinned by digest.
+
+    Every policy controller deploys a zero-rewired net (output weights 0,
+    bias -8), which proposes almost no water, so the shield fires; its
+    actions are squash(-8) whatever the hidden layers compute, so the
+    files do not depend on the BLAS build."""
+
+    CONFIG = {"seed": 5, "days": 40, "n_regions": 3,
+              "dynamics": [{"c1": 0.998, "c2": 0.95, "c3": -0.70, "b": 0.002},
+                           {"c1": 0.997, "c2": 0.93, "c3": -0.75, "b": 0.003},
+                           {"c1": 0.996, "c2": 0.94, "c3": -0.72, "b": 0.001}]}
+    DIGESTS = {
+        (): ("c64dbed4ccdafc8877a773377f8c83ccda767de4b13a0d35d2d448163e7a3213",
+             "0500a0220704f352352d799aaff47a7d92fc048b48750bba24ee7f250d56c31f"),
+        ("--measurement",): (
+            "bfeb13c82c5e1d45bee4a15587a53b4fd58d10d5f2d8618a8e6b9f0f4347b44c",
+            "939e87ba0129384e0338b17b1c0b71b29148a318b1bdb809bba6680dc2738ff0"),
+    }
+
+    @pytest.mark.parametrize("extra", list(DIGESTS), ids=["noisy", "measurement"])
+    def test_compare_bytes(self, tmp_path, extra):
+        n = self.CONFIG["n_regions"]
+        policy = SquashedGaussianPolicy(obs_dim=n + 24, n_regions=n, a_max=0.54,
+                                        hidden=(8,), seed=0)
+        policy.norm_stats = NormalizationStats(mean=np.zeros(n + 12),
+                                               std=np.ones(n + 12))
+        policy.net.weights[-1][:] = 0.0
+        policy.net.biases[-1][:] = -8.0
+        snapshot = str(tmp_path / "zero.npz")
+        policy.save(snapshot)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        res = run_cli("compare", "--config", str(config), "--out", str(out),
+                      "--policy", snapshot, "--policy-mad", snapshot, *extra)
+        assert res.returncode == 0, res.stderr
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("summary.csv", "daily.csv"))
+        assert digests == self.DIGESTS[extra]

@@ -19,10 +19,11 @@ from orchardrl.controllers import (
     ShieldedController,
 )
 from orchardrl.env import NormalizationStats
+from orchardrl.evalharness import run_roster
 from orchardrl.hydrology import derive_levels
 from orchardrl.hydrology import testbed_profile as orchard_profile
 from orchardrl.predictor import TREE1_MODEL, predict_next
-from orchardrl.safety import ShieldConfig
+from orchardrl.runconfig import build_season_weather, default_run_config
 from orchardrl.weather import WeatherDay
 
 from conftest import obs_row
@@ -46,19 +47,19 @@ def make_obs(v, **day_kw):
 class TestEtController:
     def test_replaces_yesterdays_loss(self):
         ctl = EtController(n_regions=2, a_max=A_MAX)
-        d = ctl.decide(make_obs([5.0, 6.0], et=0.15, precip=0.0))
-        assert np.allclose(d.action, [0.15, 0.15])
-        assert d.source == SOURCE_ET
+        a = ctl.decide(make_obs([5.0, 6.0], et=0.15, precip=0.0))
+        assert np.allclose(a, [0.15, 0.15])
+        assert ctl.source == SOURCE_ET
 
     def test_rain_excess_means_no_water(self):
         ctl = EtController(n_regions=2, a_max=A_MAX)
-        d = ctl.decide(make_obs([5.0, 6.0], et=0.10, precip=0.25))
-        assert np.array_equal(d.action, [0.0, 0.0])
+        a = ctl.decide(make_obs([5.0, 6.0], et=0.10, precip=0.25))
+        assert np.array_equal(a, [0.0, 0.0])
 
     def test_capped_at_a_max(self):
         ctl = EtController(n_regions=1, a_max=A_MAX)
-        d = ctl.decide(make_obs([5.0], et=0.80, precip=0.0))
-        assert d.action[0] == A_MAX
+        a = ctl.decide(make_obs([5.0], et=0.80, precip=0.0))
+        assert a[0] == A_MAX
 
     def test_same_depth_everywhere(self):
         # centralized application cannot vary by region, whatever the state
@@ -69,7 +70,7 @@ class TestEtController:
             precip = float(rng.uniform(0.0, 0.4))
             state = make_obs(rng.uniform(3.0, 8.0, size=3),
                                et=et, precip=precip)
-            a = ctl.decide(state).action
+            a = ctl.decide(state)
             assert np.all(a == a[0])
             assert a[0] == pytest.approx(min(A_MAX, max(0.0, et - precip)))
 
@@ -78,32 +79,32 @@ class TestSensorController:
     def test_no_water_above_lower_threshold(self):
         ctl = SensorController(SensorControllerConfig(), fill_gain=0.288,
                                a_max=A_MAX)
-        assert np.array_equal(ctl.decide(make_obs([5.2])).action, [0.0])
+        assert np.array_equal(ctl.decide(make_obs([5.2])), [0.0])
 
     def test_exactly_at_threshold_stays_dry(self):
         ctl = SensorController(SensorControllerConfig(), fill_gain=0.288,
                                a_max=A_MAX)
-        assert np.array_equal(ctl.decide(make_obs([4.96])).action, [0.0])
+        assert np.array_equal(ctl.decide(make_obs([4.96])), [0.0])
 
     def test_fill_dose_capped(self):
         # (6.97 - 4.80) / 0.288 = 7.53 inches wanted, capacity allows 0.54
         ctl = SensorController(SensorControllerConfig(), fill_gain=0.288,
                                a_max=A_MAX)
-        assert ctl.decide(make_obs([4.80])).action[0] == A_MAX
+        assert ctl.decide(make_obs([4.80]))[0] == A_MAX
 
     def test_uncapped_fill_dose(self):
         ctl = SensorController(SensorControllerConfig(), fill_gain=5.0,
                                a_max=A_MAX)
-        d = ctl.decide(make_obs([4.80]))
-        assert d.action[0] == pytest.approx((6.97 - 4.80) / 5.0, abs=1e-12)
-        assert d.source == SOURCE_SENSOR
+        a = ctl.decide(make_obs([4.80]))
+        assert a[0] == pytest.approx((6.97 - 4.80) / 5.0, abs=1e-12)
+        assert ctl.source == SOURCE_SENSOR
 
     def test_regions_decided_independently(self):
         ctl = SensorController(SensorControllerConfig(), fill_gain=0.288,
                                a_max=A_MAX)
-        d = ctl.decide(make_obs([4.5, 5.5]))
-        assert d.action[0] == A_MAX
-        assert d.action[1] == 0.0
+        a = ctl.decide(make_obs([4.5, 5.5]))
+        assert a[0] == A_MAX
+        assert a[1] == 0.0
 
     def test_hysteresis_cycle_under_free_capacity(self):
         # with capacity to fill in one shot, watering days alternate with
@@ -113,7 +114,7 @@ class TestSensorController:
         v = 6.0
         watered = []
         for day in range(40):
-            a = ctl.decide(make_obs([v])).action[0]
+            a = ctl.decide(make_obs([v]))[0]
             watered.append(a > 0.0)
             v = predict_next(TREE1_MODEL, v, a, 0.0, 0.2)
         events = [d for d in range(40) if watered[d]]
@@ -161,28 +162,28 @@ class TestRlController:
         ctl = RlController(policy)
         obs = make_obs([5.3])
         expected = policy.mean_action(policy.norm_stats.apply(obs))
-        d = ctl.decide(obs)
-        assert np.array_equal(d.action, expected)
-        assert d.source == SOURCE_AGENT
+        a = ctl.decide(obs)
+        assert np.array_equal(a, expected)
+        assert ctl.source == SOURCE_AGENT
 
     def test_deterministic_and_bounded(self):
         ctl = RlController(policy_with_stats(seed=3))
         obs = make_obs([6.1])
-        a1 = ctl.decide(obs).action
-        a2 = ctl.decide(obs).action
+        a1 = ctl.decide(obs)
+        a2 = ctl.decide(obs)
         assert np.array_equal(a1, a2)
         assert np.all(a1 >= 0.0) and np.all(a1 <= A_MAX)
 
 
 class TestConstantController:
     def test_zero_by_default(self):
-        d = ConstantController(2).decide(make_obs([5.0, 5.0]))
-        assert np.array_equal(d.action, [0.0, 0.0])
-        assert d.source == SOURCE_AGENT
+        ctl = ConstantController(2)
+        assert np.array_equal(ctl.decide(make_obs([5.0, 5.0])), [0.0, 0.0])
+        assert ctl.source == SOURCE_AGENT
 
     def test_fixed_depth(self):
-        d = ConstantController(2, depth=0.2).decide(make_obs([5.0, 5.0]))
-        assert np.array_equal(d.action, [0.2, 0.2])
+        a = ConstantController(2, depth=0.2).decide(make_obs([5.0, 5.0]))
+        assert np.array_equal(a, [0.2, 0.2])
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="depth"):
@@ -190,43 +191,53 @@ class TestConstantController:
 
     def test_callers_cannot_corrupt_future_decisions(self):
         ctl = ConstantController(1, depth=0.3)
-        ctl.decide(make_obs([5.0])).action[0] = 99.0
-        assert ctl.decide(make_obs([5.0])).action[0] == 0.3
+        ctl.decide(make_obs([5.0]))[0] = 99.0
+        assert ctl.decide(make_obs([5.0]))[0] == 0.3
 
 
 class TestShieldedController:
-    def shield(self, enabled=True):
-        return ShieldConfig(model=(TREE1_MODEL,), v_mad=4.726, cap=8.09,
-                            a_max=A_MAX, enabled=enabled)
+    """The wrapped controller proposes; the season runner screens each
+    proposal with the run's shield and the ET baseline as fallback."""
+
+    @staticmethod
+    def season(ctl, days=60, seed=9):
+        run = default_run_config(days=days, seed=seed)
+        return run, run_roster(run, {"x": ctl}).entries["x"]
 
     def test_trigger_substitutes_fallback_action(self):
-        inner = ConstantController(1, depth=0.0)
-        fallback = EtController(n_regions=1, a_max=A_MAX)
-        ctl = ShieldedController(inner, self.shield(), fallback)
-        # v_hat = 0.973*4.8 - 0.103*0.15 + 0.003 = 4.65795 < 4.726
-        d = ctl.decide(make_obs([4.8], et=0.15, et_next=0.15))
-        assert d.source == SOURCE_SHIELD
-        assert d.report.triggered
-        # ET's 0.15 in is itself predicted unsafe (4.65795 + 0.288*0.15 =
-        # 4.70115 < 4.726), so the shield raises it to the least dose its
-        # model predicts reaches v_mad: (4.726 - 4.65795) / 0.288
-        m = TREE1_MODEL
-        least_safe = (4.726 - (m.c1 * 4.8 + m.c3 * 0.15 + m.b)) / m.c2
-        assert d.action[0] == pytest.approx(least_safe, rel=1e-12)
-        assert d.action[0] >= 0.15
+        run, entry = self.season(ShieldedController(ConstantController(2, 0.0)))
+        weather = build_season_weather(run)
+        assert entry.shield_trigger_days > 0
+        for day in range(run.days):
+            if entry.triggered[day]:
+                # the day's ET dose, raised where it is predicted short
+                w = weather[day]
+                et_dose = min(run.env.a_max, max(0.0, w.et - w.precip))
+                assert entry.sources[day] == SOURCE_SHIELD
+                assert np.all(entry.actions[day] >= et_dose)
+                assert np.any(entry.actions[day] > 0.0)
+            else:
+                assert entry.sources[day] == SOURCE_AGENT
+                assert np.array_equal(entry.actions[day], [0.0, 0.0])
 
     def test_safe_proposal_passes_through(self):
-        inner = ConstantController(1, depth=0.0)
-        fallback = EtController(n_regions=1, a_max=A_MAX)
-        ctl = ShieldedController(inner, self.shield(), fallback)
-        d = ctl.decide(make_obs([6.5], et_next=0.15))
-        assert d.source == SOURCE_AGENT
-        assert np.array_equal(d.action, [0.0])
-        assert not d.report.triggered
+        run, entry = self.season(
+            ShieldedController(ConstantController(2, A_MAX)))
+        assert entry.shield_trigger_days == 0
+        assert np.all(entry.actions == A_MAX)
+        assert entry.sources == [SOURCE_AGENT] * run.days
+        assert np.array_equal(entry.deficits, np.zeros(run.days))
 
     def test_report_attached_either_way(self):
-        inner = ConstantController(1, depth=0.0)
-        fallback = EtController(n_regions=1, a_max=A_MAX)
-        ctl = ShieldedController(inner, self.shield(), fallback)
-        for v in (4.8, 6.5):
-            assert ctl.decide(make_obs([v])).report is not None
+        # enabled: deficits on triggered and untriggered days alike;
+        # disabled: the proposal executes and the deficit is still logged
+        _, on = self.season(ShieldedController(ConstantController(2, 0.0)))
+        _, off = self.season(ShieldedController(ConstantController(2, 0.0),
+                                                enabled=False))
+        assert 0 < on.shield_trigger_days < on.season_days
+        assert np.all(np.isfinite(on.deficits))
+        assert np.all(np.isfinite(off.deficits))
+        assert off.shield_trigger_days == 0
+        assert np.any(off.deficits > 0.0)
+        assert np.all(off.actions == 0.0)
+        assert off.sources == [SOURCE_AGENT] * off.season_days

@@ -291,6 +291,17 @@ class TestStep:
         with pytest.raises(ValueError, match="outside"):
             env.step(np.array([[-0.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_actions_rejected(self, bad):
+        # NaN compares false against both bounds; it must not reach v
+        env = IrrigationEnv(default_env_config(),
+                            flat_season(default_env_config().episode_length + 1))
+        env.reset([1])
+        v = env.v.copy()
+        with pytest.raises(ValueError, match=f"action {bad!r} outside"):
+            env.step(np.array([[0.1, bad]]))
+        assert np.array_equal(env.v, v)
+
     def test_step_before_reset_rejected(self):
         cfg = default_env_config()
         env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))

@@ -1,11 +1,14 @@
 """Season runner: paired comparisons, metrics, result files."""
 
+import csv
 import datetime as dt
+import io
 import json
 
 import numpy as np
 import pytest
 
+from orchardrl.agent.policy import SquashedGaussianPolicy
 from orchardrl.controllers import (
     SOURCE_ET,
     SOURCE_SHIELD,
@@ -14,7 +17,9 @@ from orchardrl.controllers import (
     SensorController,
     ShieldedController,
 )
+from orchardrl.env import NormalizationStats, PlantParams
 from orchardrl.evalharness import (
+    POLICY_NAMES,
     ROSTER_NAMES,
     ControllerResult,
     build_controller,
@@ -28,6 +33,9 @@ from orchardrl.evalharness import (
     write_results,
 )
 from orchardrl.runconfig import (
+    ShieldSettings,
+    build_env_config,
+    build_levels,
     build_season_weather,
     build_shield_models,
     config_hash,
@@ -145,9 +153,7 @@ class TestRunSeason:
 
     def test_shielded_season_logs_reports(self):
         run = default_run_config(days=90, seed=9)
-        inner = ConstantController(run.n_regions, 0.0)
-        fallback = EtController(run.n_regions, run.env.a_max)
-        ctl = ShieldedController(inner, build_shield_config(run), fallback)
+        ctl = ShieldedController(ConstantController(run.n_regions, 0.0))
         entry = run_season(run, ctl)
         assert np.all(np.isfinite(entry.deficits))
         assert entry.shield_trigger_days >= 1
@@ -185,9 +191,7 @@ class TestRunRoster:
         run = default_run_config(days=90, seed=9)
 
         def screened_zero():
-            return ShieldedController(ConstantController(run.n_regions, 0.0),
-                                      build_shield_config(run),
-                                      EtController(run.n_regions, run.env.a_max))
+            return ShieldedController(ConstantController(run.n_regions, 0.0))
 
         alone = run_roster(run, {"a": screened_zero()}).entries["a"]
         paired = run_roster(run, {"a": screened_zero(),
@@ -233,19 +237,31 @@ class TestBuildController:
             build_controller(default_run_config(), "sprinkler")
 
     def test_shield_config_follows_run_settings(self):
-        run = default_run_config()
+        run = default_run_config(
+            shield=ShieldSettings(detector_threshold=0.05),
+            env=PlantParams(a_max=0.4))
         cfg = build_shield_config(run)
         assert cfg.model == build_shield_models(run)
-        forced_off = build_shield_config(run, enabled=False)
-        assert not forced_off.enabled
+        assert cfg.v_mad == build_levels(run).v_mad
+        assert cfg.cap == build_env_config(run).saturation_cap
+        assert (cfg.a_max, cfg.detector_threshold) == (0.4, 0.05)
+
+    def test_only_rl_noshield_disables_the_shield(self):
+        run = default_run_config()
+        policy = SquashedGaussianPolicy(build_env_config(run).obs_dim,
+                                        run.n_regions, run.env.a_max,
+                                        hidden=(4,), seed=0)
+        policy.norm_stats = NormalizationStats(mean=np.zeros(14),
+                                               std=np.ones(14))
+        enabled = {name: build_controller(run, name, policy=policy).enabled
+                   for name in POLICY_NAMES}
+        assert enabled == {"rl": True, "rl-mad": True, "rl-noshield": False}
 
 
 class TestResultFiles:
     def small_experiment(self):
         run = default_run_config(days=6, seed=11)
-        ctl = ShieldedController(ConstantController(2, 0.0),
-                                 build_shield_config(run),
-                                 EtController(2, run.env.a_max))
+        ctl = ShieldedController(ConstantController(2, 0.0))
         return run, run_roster(run, {"et": build_controller(run, "et"),
                                      "screened": ctl})
 
@@ -281,6 +297,52 @@ class TestResultFiles:
                     assert row["deficit"] is None
                 else:
                     assert row["deficit"] == entry.deficits[day]
+
+    @staticmethod
+    def csv_writer_daily(exp) -> bytes:
+        """daily.csv as csv.writer writes it, row by row: the reference
+        write_results must match byte for byte."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        n = next(iter(exp.entries.values())).soil.shape[1]
+        writer.writerow(["controller", "day", "date", "daily_water"]
+                        + [f"a_{i}" for i in range(n)]
+                        + [f"v_{i}" for i in range(n)]
+                        + ["deficit", "triggered", "source"])
+        for name, entry in exp.entries.items():
+            for day in range(entry.season_days):
+                d = entry.deficits[day]
+                writer.writerow(
+                    [name, day, entry.dates[day].isoformat(),
+                     repr(float(entry.daily_water[day]))]
+                    + [repr(float(x)) for x in entry.actions[day]]
+                    + [repr(float(x)) for x in entry.soil[day]]
+                    + ["" if np.isnan(d) else repr(float(d)),
+                       int(entry.triggered[day]), entry.sources[day]])
+        return buf.getvalue().encode()
+
+    def test_daily_csv_matches_csv_writer(self, tmp_path, levels):
+        run = default_run_config(days=30, seed=12)
+        exp = run_roster(run, {
+            "et": build_controller(run, "et"),
+            "a,b": ShieldedController(ConstantController(2, 0.0)),
+            'say "hi"': ShieldedController(ConstantController(2, 0.1),
+                                           enabled=False),
+            "line\nbreak": build_controller(run, "sensor")})
+        assert exp.entries["a,b"].shield_trigger_days > 0
+        write_results(tmp_path, exp, levels)
+        assert ((tmp_path / "daily.csv").read_bytes()
+                == self.csv_writer_daily(exp))
+
+    def test_controller_name_with_a_comma_round_trips(self, tmp_path, levels):
+        run = default_run_config(days=6, seed=11)
+        exp = run_roster(run, {"a,b": build_controller(run, "et")})
+        write_results(tmp_path, exp, levels)
+        daily = read_daily(tmp_path / "daily.csv")
+        assert list(daily) == ["a,b"]
+        assert [row["daily_water"] for row in daily["a,b"]] == \
+            exp.entries["a,b"].daily_water.tolist()
+        assert list(read_summary(tmp_path / "summary.csv")) == ["a,b"]
 
     def test_manifest_contents(self, tmp_path, levels):
         run, exp = self.small_experiment()

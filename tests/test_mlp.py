@@ -6,8 +6,12 @@ import pytest
 from orchardrl.agent.mlp import AdamOptimizer, Mlp
 
 
-def make_net(sizes, seed=None):
-    return Mlp(sizes, np.empty(Mlp.parameter_count(sizes)), seed=seed)
+def make_net(sizes, seed=None, params=None):
+    if params is None:
+        params = np.empty(Mlp.parameter_count(sizes))
+    net = Mlp(sizes, params)
+    net.initialize(seed)
+    return net
 
 
 def numerical_grads(net, params, X, target, h=1e-6):
@@ -33,7 +37,7 @@ class TestBackward:
     @pytest.mark.parametrize("sizes", [(3, 4, 2), (5, 8, 8, 1), (2, 2)])
     def test_matches_finite_differences(self, sizes):
         params = np.empty(Mlp.parameter_count(sizes))
-        net = Mlp(sizes, params, seed=0)
+        net = make_net(sizes, seed=0, params=params)
         net.weights[-1] *= 100.0   # undo the near-zero final-layer start
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, sizes[0]))
@@ -48,7 +52,7 @@ class TestBackward:
         # the gradient of layer i's weights lands where W_i sits in params
         sizes = (4, 6, 3)
         params = np.empty(Mlp.parameter_count(sizes))
-        net = Mlp(sizes, params, seed=2)
+        net = make_net(sizes, seed=2, params=params)
         out, acts = net.forward(np.ones((5, 4)))
         grad = np.empty_like(params)
         net.backward(acts, np.ones_like(out), grad)

@@ -239,6 +239,21 @@ class TestPersistence:
         obs = np.random.default_rng(6).normal(size=OBS_DIM)
         assert np.array_equal(back.mean_action(obs), policy.mean_action(obs))
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        policy = with_stats(small_policy(n_regions=2, seed=5))
+        path = tmp_path / "policy.npz"
+        policy.save(path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_policy drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        back = load_policy(path)
+        assert np.array_equal(back.params, policy.params)
+        for W, W_back in zip(policy.net.weights, back.net.weights):
+            assert np.array_equal(W, W_back)
+        assert np.array_equal(back.log_std, policy.log_std)
+
     def test_snapshot_records_software_environment(self, tmp_path):
         path = tmp_path / "p.npz"
         with_stats(small_policy()).save(path)

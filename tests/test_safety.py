@@ -1,6 +1,7 @@
 """Action screening: deficit detector, fallback substitution, soundness."""
 
 import datetime as dt
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from orchardrl.predictor import (
     coefficient_table,
     predict_next,
 )
-from orchardrl.safety import ShieldConfig, ShieldReport, predicted_deficit, screen
+from orchardrl.safety import ShieldConfig, predicted_deficit, screen_rows
 from orchardrl.weather import WeatherDay
 
 from conftest import default_env_config, flat_season, obs_row
@@ -44,6 +45,20 @@ def make_shield(*models, **kw):
     models are given) at the testbed's stress level, cap and a_max."""
     kw = {"v_mad": V_MAD, "cap": CAP, "a_max": A_MAX, **kw}
     return ShieldConfig(model=models or (TREE1_MODEL,), **kw)
+
+
+class RowReport(NamedTuple):
+    deficit: float
+    triggered: bool
+
+
+def screen(config, obs, proposed, fallback, enabled=True):
+    """Screen one observation row: screen_rows with k = 1, returning the
+    row's action and its deficit and trigger."""
+    actions, deficits, triggered = screen_rows(
+        config, obs[None], np.asarray(proposed, dtype=float)[None], fallback,
+        enabled)
+    return actions[0], RowReport(deficits[0], triggered[0])
 
 
 class TestShieldConfig:
@@ -137,7 +152,7 @@ class TestScreen:
         action, report = screen(cfg, obs, np.array([0.0]), fallback)
         assert report.triggered
         assert np.array_equal(action, [0.54])
-        assert report.deficit_sum > 0.0
+        assert report.deficit > 0.0
 
     def test_safe_action_passes_unchanged(self):
         cfg = make_shield()
@@ -148,13 +163,29 @@ class TestScreen:
         assert np.array_equal(action, [0.2])
 
     def test_disabled_shield_records_counterfactual(self):
-        cfg = make_shield(enabled=False)
+        cfg = make_shield()
         obs = make_obs([4.8], et_next=0.15)
         action, report = screen(cfg, obs, np.array([0.0]),
-                                ConstantController(1, depth=0.54))
+                                ConstantController(1, depth=0.54),
+                                enabled=False)
         assert np.array_equal(action, [0.0])
         assert not report.triggered
-        assert report.deficit_sum > cfg.detector_threshold
+        assert report.deficit > cfg.detector_threshold
+
+    def test_short_fallback_raised_to_least_safe_dose(self):
+        cfg = make_shield()
+        # v_hat = 0.973*4.8 - 0.103*0.15 + 0.003 = 4.65795 < 4.726
+        obs = make_obs([4.8], et=0.15, et_next=0.15)
+        action, report = screen(cfg, obs, np.array([0.0]),
+                                EtController(1, a_max=A_MAX))
+        assert report.triggered
+        # ET's 0.15 in is itself predicted unsafe (4.65795 + 0.288*0.15 =
+        # 4.70115 < 4.726), so the shield raises it to the least dose its
+        # model predicts reaches v_mad: (4.726 - 4.65795) / 0.288
+        m = TREE1_MODEL
+        least_safe = (V_MAD - (m.c1 * 4.8 + m.c3 * 0.15 + m.b)) / m.c2
+        assert action[0] == pytest.approx(least_safe, rel=1e-12)
+        assert action[0] >= 0.15
 
     def test_threshold_gates_marginal_deficits(self):
         obs = make_obs([4.8], et_next=0.15)   # deficit 0.06805
@@ -174,14 +205,51 @@ class TestScreen:
         _, report = screen(cfg, obs, np.array([a]),
                            ConstantController(1, depth=0.54))
         assert report.triggered == (deficit > cfg.detector_threshold)
-        assert report.deficit_sum == deficit
+        assert report.deficit == deficit
 
     def test_report_shape(self):
         cfg = make_shield(TREE1_MODEL, TREE1_MODEL)
-        _, report = screen(cfg, make_obs([5.0, 6.0], et_next=0.2),
-                           np.zeros(2), ConstantController(2, depth=0.54))
-        assert isinstance(report, ShieldReport)
-        assert report.predicted_v_next.shape == (2,)
+        obs = np.stack([make_obs([5.0, 6.0], et_next=0.2),
+                        make_obs([4.0, 4.0], et_next=0.2),
+                        make_obs([4.0, 4.0], et_next=0.2)])
+        actions, deficits, triggered = screen_rows(
+            cfg, obs, np.zeros((3, 2)), ConstantController(2, depth=0.54),
+            np.array([True, True, False]))
+        assert actions.shape == (3, 2)
+        assert deficits.shape == (3,)
+        assert triggered.dtype == bool
+        assert triggered.tolist() == [False, True, False]
+
+    @settings(max_examples=200)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=16),
+           k=st.integers(min_value=1, max_value=6))
+    def test_k_rows_equal_k_single_row_screens(self, data, n, k):
+        # rows are screened independently and bit for bit as if alone:
+        # triggered, untriggered and disabled rows alike
+        cfg = make_shield(*((TREE1_MODEL, TREE2_MODEL)[i % 2] for i in range(n)))
+        fallback = EtController(n, a_max=A_MAX)
+        unit = st.floats(min_value=0.0, max_value=1.0)
+        rows, proposals, enabled = [], [], []
+        for _ in range(k):
+            v = data.draw(st.lists(st.floats(min_value=3.5, max_value=7.5),
+                                   min_size=n, max_size=n))
+            et, precip, et_next, precip_next = (
+                data.draw(unit) * 0.5 for _ in range(4))
+            rows.append(make_obs(v, et=et, precip=precip, et_next=et_next,
+                                 precip_next=precip_next))
+            proposals.append(data.draw(st.lists(
+                st.floats(min_value=0.0, max_value=A_MAX), min_size=n, max_size=n)))
+            enabled.append(data.draw(st.booleans()))
+        obs, proposed = np.stack(rows), np.array(proposals)
+        actions, deficits, triggered = screen_rows(cfg, obs, proposed, fallback,
+                                                   np.array(enabled))
+        for j in range(k):
+            one = screen_rows(cfg, obs[j:j + 1], proposed[j:j + 1], fallback,
+                              enabled[j])
+            assert actions[j].tobytes() == one[0][0].tobytes()
+            assert deficits[j].tobytes() == one[1][0].tobytes()
+            assert triggered[j] == one[2][0]
+            assert triggered[j] == (enabled[j] and deficits[j] > 0.0)
 
 
 class TestSoundness:
