@@ -28,6 +28,7 @@ from .weather import (
     EtModelParams,
     ForecastNoise,
     WeatherDay,
+    WeatherTable,
     hargreaves_et,
     load_weather_csv,
     synthesize_forecast,

@@ -95,8 +95,12 @@ class Mlp:
             np.matmul(activations[i].T, g, out=grad_w[i])
             g.sum(axis=0, out=grad_b[i])
             if i > 0:
-                # activations[i] is tanh(z_i) for hidden layers
-                g = (g @ self.weights[i].T) * (1.0 - activations[i] ** 2)
+                # activations[i] is tanh(z_i) for hidden layers; 1 - a**2
+                # and the product are formed in place
+                d_tanh = np.square(activations[i])
+                np.subtract(1.0, d_tanh, out=d_tanh)
+                g = g @ self.weights[i].T
+                g *= d_tanh
 
 
 class AdamOptimizer:

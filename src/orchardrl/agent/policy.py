@@ -115,28 +115,38 @@ class SquashedGaussianPolicy:
         m, _ = self.forward_mean(obs)
         return self.squash(m[0])
 
-    def log_prob_from_mean(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Per-sample log-density of pre-squash samples u given means m,
-        including the tanh-squash change-of-variables correction."""
-        sigma = np.exp(self.log_std)
-        z = (u - m) / sigma
-        gauss = -0.5 * z ** 2 - self.log_std - _HALF_LOG_2PI
-        jac = math.log(self.a_max / 2.0) + _log1m_tanh_sq(u)
-        return np.sum(gauss - jac, axis=1)
+    def squash_log_jacobian(self, u: np.ndarray) -> np.ndarray:
+        """Elementwise log of the squash's derivative at pre-squash samples
+        u: the change-of-variables term of their log-density.  A rollout
+        computes it once per sample and keeps it with the sample."""
+        return math.log(self.a_max / 2.0) + _log1m_tanh_sq(u)
+
+    def log_prob(self, z_sq: np.ndarray, log_jac: np.ndarray) -> np.ndarray:
+        """Per-sample log-density of (B, n_regions) pre-squash samples u
+        from their squared standardized residuals z_sq = ((u - m) / sigma)**2
+        under means m, and their squash_log_jacobian(u)."""
+        out = z_sq * -0.5
+        out -= self.log_std
+        out -= _HALF_LOG_2PI
+        out -= log_jac
+        return out.sum(axis=1)
 
     def sample(self, obs: np.ndarray, rng: np.random.Generator
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Draw actions for a (B, obs_dim) batch of observations.
 
-        Returns the (B, n_regions) actions and pre-squash samples and the
-        (B,) log-probs, from one standard-normal draw shaped like the means.
-        The pre-squash sample is what rollout storage keeps, so later ratio
+        Returns the (B, n_regions) actions and pre-squash samples, the (B,)
+        log-probs and the (B, n_regions) squash log-Jacobians, from one
+        standard-normal draw shaped like the means.  The pre-squash sample
+        and its log-Jacobian are what rollout storage keeps, so later ratio
         computations evaluate the exact same point.
         """
         m, _ = self.forward_mean(obs)
         sigma = np.exp(self.log_std)
         u = m + sigma * rng.standard_normal(m.shape)
-        return self.squash(u), u, self.log_prob_from_mean(u, m)
+        z = (u - m) / sigma
+        log_jac = self.squash_log_jacobian(u)
+        return self.squash(u), u, self.log_prob(z ** 2, log_jac), log_jac
 
     # -- persistence -------------------------------------------------------
 

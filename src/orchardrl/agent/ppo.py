@@ -65,13 +65,15 @@ def normalized_advantages(returns: np.ndarray, eps: float = 1e-8) -> np.ndarray:
 class RolloutBatch:
     """Flattened rollout data collected under a frozen policy.
 
-    pre_squash holds the raw Gaussian samples, so the collecting policy's
-    density can be re-evaluated exactly; old_log_prob was computed at
-    collection time; returns are raw (unnormalized) returns-to-go.
+    pre_squash holds the raw Gaussian samples and log_jac their squash
+    log-Jacobians, so the collecting policy's density can be re-evaluated
+    exactly; old_log_prob was computed at collection time; returns are raw
+    (unnormalized) returns-to-go.
     """
 
     obs: np.ndarray          # (B, obs_dim) normalized observations
     pre_squash: np.ndarray   # (B, n_regions)
+    log_jac: np.ndarray      # (B, n_regions) policy.squash_log_jacobian(pre_squash)
     old_log_prob: np.ndarray  # (B,)
     returns: np.ndarray      # (B,)
 
@@ -79,7 +81,7 @@ class RolloutBatch:
         n = len(self.obs)
         if n == 0:
             raise ValueError("batch must be non-empty")
-        for name in ("pre_squash", "old_log_prob", "returns"):
+        for name in ("pre_squash", "log_jac", "old_log_prob", "returns"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length differs from obs")
         if not np.all(np.isfinite(self.old_log_prob)):
@@ -89,23 +91,35 @@ class RolloutBatch:
         return len(self.obs)
 
     def subset(self, idx: np.ndarray | slice) -> "RolloutBatch":
-        """Rows idx: an index array copies them, a slice views them."""
-        return RolloutBatch(self.obs[idx], self.pre_squash[idx],
-                            self.old_log_prob[idx], self.returns[idx])
+        """Rows idx: an index array copies them, a slice views them.  They
+        are rows of this checked batch, so they are not checked again."""
+        rows = object.__new__(RolloutBatch)
+        rows.obs = self.obs[idx]
+        rows.pre_squash = self.pre_squash[idx]
+        rows.log_jac = self.log_jac[idx]
+        rows.old_log_prob = self.old_log_prob[idx]
+        rows.returns = self.returns[idx]
+        return rows
 
 
 def _surrogate_terms(policy: SquashedGaussianPolicy, batch: RolloutBatch,
                      epsilon: float, advantages: np.ndarray):
-    """Shared forward computation for loss and gradients."""
+    """Shared forward computation for loss and gradients, each term formed
+    once: the means and their backprop cache, the log-probs, the ratios,
+    both surrogate branches, sigma, the standardized residuals z and z**2,
+    and the loss."""
     m, cache = policy.forward_mean(batch.obs)
-    logp = policy.log_prob_from_mean(batch.pre_squash, m)
+    sigma = np.exp(policy.log_std)
+    z = (batch.pre_squash - m) / sigma
+    z_sq = z ** 2
+    logp = policy.log_prob(z_sq, batch.log_jac)
     ratio = np.exp(logp - batch.old_log_prob)
     clipped = np.clip(ratio, 1.0 - epsilon, 1.0 + epsilon)
     s_plain = ratio * advantages
     s_clip = clipped * advantages
     surrogate = np.minimum(s_plain, s_clip)
     loss = -float(surrogate.mean())
-    return m, cache, logp, ratio, s_plain, s_clip, loss
+    return m, cache, logp, ratio, s_plain, s_clip, sigma, z, z_sq, loss
 
 
 def ppo_loss(batch: RolloutBatch, policy: SquashedGaussianPolicy,
@@ -135,21 +149,25 @@ def ppo_loss_and_grads(batch: RolloutBatch, policy: SquashedGaussianPolicy,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     adv = np.asarray(advantages, dtype=float)
-    m, cache, logp, ratio, s_plain, s_clip, loss = _surrogate_terms(
-        policy, batch, epsilon, adv)
+    _, cache, _, ratio, s_plain, s_clip, sigma, z, z_sq, loss = \
+        _surrogate_terms(policy, batch, epsilon, adv)
 
     B = len(batch)
     dsurr_dratio = np.where(s_plain <= s_clip, adv, 0.0)
     dloss_dlogp = -(dsurr_dratio * ratio) / B
+    dloss_dlogp = dloss_dlogp[:, None]
 
-    sigma = np.exp(policy.log_std)
-    z = (batch.pre_squash - m) / sigma
-    # log pi depends on the mean through the Gaussian term only
-    grad_mean = dloss_dlogp[:, None] * (z / sigma)
+    # log pi depends on the mean through the Gaussian term only; the
+    # residual arrays are not needed again, so they take the results
+    grad_mean = z
+    grad_mean /= sigma
+    grad_mean *= dloss_dlogp
 
     grad = np.empty_like(policy.params)
     k = grad.size - policy.n_regions
-    (dloss_dlogp[:, None] * (z ** 2 - 1.0)).sum(axis=0, out=grad[k:])
+    z_sq -= 1.0
+    z_sq *= dloss_dlogp
+    z_sq.sum(axis=0, out=grad[k:])
     policy.net.backward(cache, grad_mean, grad[:k])
     return loss, grad
 
@@ -329,11 +347,12 @@ def _rollout(env: IrrigationEnv, policy: SquashedGaussianPolicy,
     raw = env.reset(rng.integers(2 ** 32, size=E))
     obs = np.empty((L, E, env.config.obs_dim))
     pre_squash = np.empty((L, E, len(env.config.dynamics)))
+    log_jac = np.empty_like(pre_squash)
     logp = np.empty((L, E))
     rewards = np.empty((L, E))
     for t in range(L):
         obs[t] = policy.norm_stats.apply(raw)
-        a, pre_squash[t], logp[t] = policy.sample(obs[t], rng)
+        a, pre_squash[t], logp[t], log_jac[t] = policy.sample(obs[t], rng)
         raw, rewards[t] = env.step(a)
 
     def by_episode(x: np.ndarray) -> np.ndarray:
@@ -341,6 +360,7 @@ def _rollout(env: IrrigationEnv, policy: SquashedGaussianPolicy,
 
     returns = returns_to_go(rewards, config.gamma).T
     batch = RolloutBatch(obs=by_episode(obs), pre_squash=by_episode(pre_squash),
+                         log_jac=by_episode(log_jac),
                          old_log_prob=by_episode(logp), returns=returns.ravel())
     return batch, returns, rewards.sum(axis=0)
 

@@ -80,8 +80,13 @@ def obtain_policy(run: RunConfig, path: str | None, label: str):
     return policy
 
 
+# rows synth-weather writes by default: the default season's days + 1
+# usable records, plus the row that only feeds the last one's forecast
+SYNTH_WEATHER_DAYS = RunConfig.days + 2
+
+
 def cmd_synth_weather(args) -> int:
-    days = args.days if args.days is not None else 246
+    days = args.days if args.days is not None else SYNTH_WEATHER_DAYS
     season = synthesize_season(args.seed if args.seed is not None else 0, days)
     write_weather_csv(args.out, season)
     print(f"wrote {days} daily records to {args.out}")
@@ -189,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-weather", help="emit a synthetic season CSV")
-    p.add_argument("--days", type=int, help="number of daily records (default 246)")
+    p.add_argument("--days", type=int,
+                   help=f"number of daily records (default {SYNTH_WEATHER_DAYS}: "
+                        "enough for a default-length season)")
     p.add_argument("--seed", type=int, help="generator seed (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_synth_weather)

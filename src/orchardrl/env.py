@@ -28,16 +28,17 @@ starts on its first day.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .hydrology import SoilLevels
 from .predictor import PredictorModel, coefficient_table, predict_next_array
-from .weather import WeatherDay
+from .weather import CHANNELS, N_OBSERVED, WeatherTable
 
-N_WEATHER_CHANNELS = 10   # observed channels in the observation row
-N_FORECAST_CHANNELS = 2   # predicted ET and forecast precip for tomorrow
+# The observation row carries a WeatherTable's columns as they are: the
+# observed channels, then tomorrow's predicted ET and forecast precip.
+N_WEATHER_CHANNELS = N_OBSERVED
+N_FORECAST_CHANNELS = len(CHANNELS) - N_OBSERVED
 N_MONTHS = 12
 
 # Observation row layout: [v_1..v_N, et, precip, t_max, t_avg, t_min, h_max,
@@ -206,7 +207,9 @@ class NormalizationStats:
         if vec.shape[-1] < self.n_continuous:
             raise ValueError("vector shorter than the normalized span")
         out = vec.copy()
-        out[..., :self.n_continuous] = (vec[..., :self.n_continuous] - self.mean) / self.std
+        span = out[..., :self.n_continuous]
+        span -= self.mean
+        span /= self.std
         return out
 
 
@@ -218,10 +221,11 @@ class IrrigationEnv:
     default_rng(seed) in this order, its start record, its initial soil
     water and its whole (episode_length, n_regions) process-noise block.
     Episodes given the same seed therefore share start, soil water and
-    noise, and differ only through their actions.
+    noise, and differ only through their actions; those draws are made once
+    per distinct seed and copied into each such episode's rows.
     """
 
-    def __init__(self, config: EnvConfig, weather: Sequence[WeatherDay]):
+    def __init__(self, config: EnvConfig, weather: WeatherTable):
         if len(weather) < config.episode_length + 1:
             raise ValueError(
                 f"need at least episode_length + 1 = {config.episode_length + 1} "
@@ -230,7 +234,7 @@ class IrrigationEnv:
         L = config.episode_length
         # breaks[i]: date gaps among records 0..i; a start is allowed when
         # its L + 1 records step by exactly one day
-        breaks = np.cumsum(np.diff([w.date.toordinal() for w in weather]) != 1)
+        breaks = np.cumsum(np.diff(weather.dates) != np.timedelta64(1, "D"))
         breaks = np.concatenate([[0], breaks])
         self._allowed_starts = np.flatnonzero(breaks[L:] == breaks[:-L])
         if not len(self._allowed_starts):
@@ -239,14 +243,10 @@ class IrrigationEnv:
                 f"+ 1) in a record of {len(weather)}")
         self.config = config
         self._coef = coefficient_table(config.dynamics)
-        months = np.array([w.date.month for w in weather])
+        month_index = weather.dates.astype("datetime64[M]").astype(int) % N_MONTHS
         # the observation row's weather and calendar columns for every record
-        self._weather_obs = np.hstack([
-            np.array([w.numeric_channels for w in weather], dtype=float),
-            np.array([(w.predicted_et_next, w.forecast_precip_next)
-                      for w in weather], dtype=float),
-            np.eye(N_MONTHS)[months - 1],
-        ])
+        self._weather_obs = np.hstack([weather.values,
+                                       np.eye(N_MONTHS)[month_index]])
         self._et = self._weather_obs[:, OBS_ET]
         self._precip = self._weather_obs[:, OBS_PRECIP]
         self._starts = self._noise = None
@@ -262,17 +262,22 @@ class IrrigationEnv:
         noise_std = cfg.plant.process_noise_std
         allowed = self._allowed_starts
         lv = cfg.levels
-        E = len(seeds)
-        self._starts = np.zeros(E, dtype=int)
-        self.v = np.empty((E, n))
-        self.a = None
-        self._noise = np.zeros((L, E, n))
-        for e, seed in enumerate(seeds):
+        # one set of draws per distinct seed, copied to each of its episodes
+        distinct, episode_seed = np.unique(np.asarray(seeds), return_inverse=True)
+        K = len(distinct)
+        starts = np.zeros(K, dtype=int)
+        v = np.empty((K, n))
+        noise = np.zeros((L, K, n))
+        for k, seed in enumerate(distinct.tolist()):
             rng = np.random.default_rng(int(seed))
-            self._starts[e] = allowed[rng.integers(0, len(allowed))]
-            self.v[e] = rng.uniform(lv.v_mad, lv.v_fc, size=n)
+            starts[k] = allowed[rng.integers(0, len(allowed))]
+            v[k] = rng.uniform(lv.v_mad, lv.v_fc, size=n)
             if noise_std > 0:
-                self._noise[:, e] = rng.normal(0.0, noise_std, size=(L, n))
+                noise[:, k] = rng.normal(0.0, noise_std, size=(L, n))
+        self._starts = starts[episode_seed]
+        self.v = v[episode_seed]
+        self._noise = noise[:, episode_seed]
+        self.a = None
         self._day = 0
         return self._observations()
 
@@ -305,4 +310,5 @@ class IrrigationEnv:
         return self._observations(), reward(v_next, a, cfg.levels, cfg.reward)
 
     def _observations(self) -> np.ndarray:
-        return np.hstack([self.v, self._weather_obs[self._starts + self._day]])
+        return np.concatenate(
+            (self.v, self._weather_obs[self._starts + self._day]), axis=1)

@@ -153,7 +153,7 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
         actions[:, day] = env.a
         soil[:, day] = env.v
 
-    dates = [w.date for w in season[1:]]
+    dates = season.dates[1:].tolist()
     return ExperimentResult(
         season_days=run.days, seed=run.seed, config_fingerprint=config_hash(run),
         entries={name: ControllerResult(

@@ -71,7 +71,7 @@ from .weather import (
     ClimateParams,
     ForecastNoise,
     NoiseModel,
-    WeatherDay,
+    WeatherTable,
     default_forecast_noise,
     load_weather_csv,
     synthesize_season,
@@ -162,13 +162,13 @@ def forecast_noise_model(run: RunConfig) -> NoiseModel:
     return ForecastNoise() if run.forecast_noise == "exact" else run.forecast_noise
 
 
-def _csv_weather(run: RunConfig) -> list[WeatherDay]:
+def _csv_weather(run: RunConfig) -> WeatherTable:
     """Every usable record of the run's weather log, with forecasts."""
     return load_weather_csv(run.weather_csv, noise=forecast_noise_model(run),
                             seed=run.seed)
 
 
-def build_season_weather(run: RunConfig) -> list[WeatherDay]:
+def build_season_weather(run: RunConfig) -> WeatherTable:
     """Evaluation-season weather: days + 1 records (see env timeline).
 
     From CSV when configured (the first days + 1 usable records; the file
@@ -186,7 +186,7 @@ def build_season_weather(run: RunConfig) -> list[WeatherDay]:
                              forecast_noise_model(run))
 
 
-def build_training_weather(run: RunConfig) -> list[WeatherDay]:
+def build_training_weather(run: RunConfig) -> WeatherTable:
     """Weather for episode sampling during training, disjoint in dates from
     the evaluation season.
 
@@ -211,14 +211,14 @@ def build_training_weather(run: RunConfig) -> list[WeatherDay]:
     seeds = [int(rng.integers(2 ** 32)) for _ in range(TRAINING_SEASONS)]
     noise = forecast_noise_model(run)
     n_records = max(run.days, run.trainer.episode_length) + 1
-    corpus: list[WeatherDay] = []
     first_year = run.climate.start.year - TRAINING_SEASONS
+    seasons = []
     for k in range(TRAINING_SEASONS):
         start = dt.date(first_year + k, run.climate.start.month,
                         run.climate.start.day)
         climate = replace(run.climate, start=start)
-        corpus.extend(synthesize_season(seeds[k], n_records, climate, noise))
-    return corpus
+        seasons.append(synthesize_season(seeds[k], n_records, climate, noise))
+    return WeatherTable.concatenate(seasons)
 
 
 def build_shield_models(run: RunConfig) -> tuple[PredictorModel, ...]:

@@ -16,7 +16,7 @@ from orchardrl.env import (
     default_dynamics,
 )
 from orchardrl.hydrology import derive_levels, testbed_profile
-from orchardrl.weather import WeatherDay
+from orchardrl.weather import WeatherDay, WeatherTable
 
 settings.register_profile(
     "suite",
@@ -40,9 +40,17 @@ def default_env_config(n_regions=2, *, dynamics=None, profile=None,
                      plant=PlantParams(**plant))
 
 
+def weather_table(records):
+    """The WeatherTable holding a sequence of WeatherDay records."""
+    records = list(records)
+    return WeatherTable(np.array([d.date for d in records], dtype="datetime64[D]"),
+                        np.array([d.channels for d in records],
+                                 dtype=float).reshape(len(records), -1))
+
+
 def flat_season(n, et=0.15, precip=0.0, start=dt.date(2020, 3, 1)):
-    """n consecutive daily records with per-day (or constant) ET and
-    precipitation and exact next-day forecasts."""
+    """A table of n consecutive daily records with per-day (or constant) ET
+    and precipitation and exact next-day forecasts."""
     et_seq = [et] * n if np.isscalar(et) else list(et)
     p_seq = [precip] * n if np.isscalar(precip) else list(precip)
     days = []
@@ -55,7 +63,14 @@ def flat_season(n, et=0.15, precip=0.0, start=dt.date(2020, 3, 1)):
             h_max=90.0, h_avg=70.0, h_min=50.0, solar=500.0, wind=3.0,
             predicted_et_next=et_seq[i + 1] if has_next else 0.0,
             forecast_precip_next=p_seq[i + 1] if has_next else 0.0))
-    return days
+    return weather_table(days)
+
+
+def log_prob_at(policy, u, m):
+    """Log-density of pre-squash samples u under means m, every term formed
+    from u and m."""
+    z = (u - m) / np.exp(policy.log_std)
+    return policy.log_prob(z ** 2, policy.squash_log_jacobian(u))
 
 
 def obs_row(v, day: WeatherDay) -> np.ndarray:

@@ -113,9 +113,9 @@ def test_gradient_check():
                                     hidden=(4,), seed=0)
     rng = np.random.default_rng(1)
     obs = rng.normal(size=(8, 5))
-    _, pre, logp = policy.sample(obs, rng)
-    batch = RolloutBatch(obs=obs, pre_squash=pre, old_log_prob=logp,
-                         returns=rng.normal(size=8))
+    _, pre, logp, log_jac = policy.sample(obs, rng)
+    batch = RolloutBatch(obs=obs, pre_squash=pre, log_jac=log_jac,
+                         old_log_prob=logp, returns=rng.normal(size=8))
     err = gradient_check(policy, batch)
     assert verdict(3, "analytic policy gradient matches finite differences",
                    err < 1e-4, f"max rel err {err:.2e}")

@@ -84,6 +84,19 @@ class TestSynthWeather:
         assert len(season) == 11   # last row only provides the forecasts
         assert all(d.et >= 0 for d in season)
 
+    def test_default_length_drives_a_default_season(self, tmp_path):
+        # a default season needs days + 1 usable records, and the log's
+        # last row only feeds the forecast before it
+        path = tmp_path / "w.csv"
+        res = run_cli("synth-weather", "--out", str(path))
+        assert res.returncode == 0, res.stderr
+        assert "wrote 248 daily records" in res.stdout
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"weather_csv": str(path)}))
+        res = run_cli("evaluate", "--config", str(config), "--controller", "et",
+                      "--out", str(tmp_path / "eval"))
+        assert res.returncode == 0, res.stderr
+
 
 def interior_observations(model, n=40, seed=0):
     rng = np.random.default_rng(seed)

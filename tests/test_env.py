@@ -30,7 +30,7 @@ from orchardrl.runconfig import (
 )
 from orchardrl.weather import synthesize_season
 
-from conftest import default_env_config, flat_season, obs_row
+from conftest import default_env_config, flat_season, obs_row, weather_table
 
 LEVELS = SoilLevels(v_pwp=2.362, v_awc=4.728, v_mad=4.726, v_fc=7.09)
 PARAMS = RewardParams()
@@ -150,6 +150,31 @@ class TestReset:
         env.step(np.array([[0.1, 0.1]]))
         assert np.array_equal(env.reset([5]), first)
 
+    def test_repeated_seeds_equal_single_seed_episodes(self):
+        # one set of draws serves every episode given the same seed, yet
+        # each episode owns its rows: under different actions each one
+        # runs exactly as a lone episode of its seed would
+        cfg = default_env_config(process_noise_std=0.05)
+        weather = synthesize_season(4, 120)
+        env = IrrigationEnv(cfg, weather)
+        seeds = [11, 5, 11, 11]
+        actions = np.random.default_rng(0).uniform(
+            0.0, cfg.plant.a_max, size=(cfg.episode_length, len(seeds), 2))
+        actions[:, 3] = 0.0
+        obs, rewards = [env.reset(seeds)], []
+        for a in actions:
+            o, r = env.step(a)
+            obs.append(o)
+            rewards.append(r)
+        for e, seed in enumerate(seeds):
+            lone = IrrigationEnv(cfg, weather)
+            assert np.array_equal(lone.reset([seed])[0], obs[0][e])
+            for t, a in enumerate(actions):
+                o, r = lone.step(a[e:e + 1])
+                assert np.array_equal(o[0], obs[t + 1][e])
+                assert r[0] == rewards[t][e]
+        assert not np.array_equal(obs[-1][0], obs[-1][3])
+
     def test_initial_band_moments(self):
         cfg = default_env_config()
         env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
@@ -184,12 +209,13 @@ class TestReset:
 
     def test_windows_with_a_missing_date_rejected(self):
         cfg = default_env_config(episode_length=5)
-        weather = flat_season(11)
-        del weather[5]       # two runs of 5 consecutive dates, none of 6
+        records = list(flat_season(11))
+        del records[5]       # two runs of 5 consecutive dates, none of 6
         with pytest.raises(ValueError, match="consecutive"):
-            IrrigationEnv(cfg, weather)
-        weather = flat_season(12, et=np.linspace(0.1, 0.2, 12))
-        del weather[5]       # the second run has 6 dates: one allowed start
+            IrrigationEnv(cfg, weather_table(records))
+        records = list(flat_season(12, et=np.linspace(0.1, 0.2, 12)))
+        del records[5]       # the second run has 6 dates: one allowed start
+        weather = weather_table(records)
         obs = IrrigationEnv(cfg, weather).reset(range(5))
         assert np.all(obs[:, 2] == weather[5].et)
 

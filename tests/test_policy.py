@@ -15,6 +15,8 @@ from orchardrl.agent.policy import (
 from orchardrl.env import NormalizationStats
 from orchardrl.software import software_environment
 
+from conftest import log_prob_at
+
 OBS_DIM = 6
 A_MAX = 0.54
 
@@ -86,27 +88,29 @@ class TestSampling:
     def test_same_seed_same_action(self):
         policy = small_policy(n_regions=2, seed=5)
         obs = np.random.default_rng(2).normal(size=(3, OBS_DIM))
-        a1, _, logp1 = policy.sample(obs, np.random.default_rng(7))
-        a2, _, logp2 = policy.sample(obs, np.random.default_rng(7))
+        a1, _, logp1, _ = policy.sample(obs, np.random.default_rng(7))
+        a2, _, logp2, _ = policy.sample(obs, np.random.default_rng(7))
         assert np.array_equal(a1, a2) and np.array_equal(logp1, logp2)
 
     def test_sample_internally_consistent(self):
         policy = small_policy(n_regions=2, seed=5)
         obs = np.random.default_rng(2).normal(size=(1, OBS_DIM))
-        a, u, logp = policy.sample(obs, np.random.default_rng(11))
+        a, u, logp, log_jac = policy.sample(obs, np.random.default_rng(11))
         assert np.allclose(a, policy.squash(u))
+        assert np.array_equal(log_jac, policy.squash_log_jacobian(u))
         m, _ = policy.forward_mean(obs)
         assert logp[0] == pytest.approx(
-            float(policy.log_prob_from_mean(u, m)[0]), abs=1e-12)
+            float(log_prob_at(policy, u, m)[0]), abs=1e-12)
 
     def test_batch_sample_matches_row_by_row(self):
         policy = small_policy(n_regions=2, seed=5)
         obs = np.random.default_rng(2).normal(size=(7, OBS_DIM))
-        a, u, logp = policy.sample(obs, np.random.default_rng(11))
-        assert a.shape == u.shape == (7, 2) and logp.shape == (7,)
+        a, u, logp, log_jac = policy.sample(obs, np.random.default_rng(11))
+        assert a.shape == u.shape == log_jac.shape == (7, 2)
+        assert logp.shape == (7,)
         assert np.array_equal(a, policy.squash(u))
         batch_means, _ = policy.forward_mean(obs)
-        assert np.allclose(logp, policy.log_prob_from_mean(u, batch_means),
+        assert np.allclose(logp, log_prob_at(policy, u, batch_means),
                            rtol=0, atol=1e-12)
         # u is the batched mean plus sigma times one (7, 2) normal draw
         noise = np.random.default_rng(11).standard_normal((7, 2))
@@ -119,7 +123,7 @@ class TestSampling:
         rng = np.random.default_rng(3)
         obs = rng.normal(size=(1, OBS_DIM))
         for _ in range(200):
-            a, _, _ = policy.sample(obs, rng)
+            a, *_ = policy.sample(obs, rng)
             assert np.all(a >= 0.0) and np.all(a <= A_MAX)
 
     def test_monte_carlo_mean_matches_symmetric_point(self):
@@ -153,7 +157,7 @@ class TestSampling:
         eps = 1e-9
         a_grid = np.linspace(eps, A_MAX - eps, 40001)
         u_grid = np.arctanh(2.0 * a_grid / A_MAX - 1.0)
-        logp = policy.log_prob_from_mean(u_grid[:, None], m)
+        logp = log_prob_at(policy, u_grid[:, None], m)
         total = np.trapezoid(np.exp(logp), a_grid)
         assert total == pytest.approx(1.0, abs=1e-3)
 

@@ -10,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orchardrl.runconfig import build_training_weather, default_run_config
 from orchardrl.weather import (
+    CHANNELS,
     CSV_COLUMNS,
+    N_OBSERVED,
     ClimateParams,
     EtModelParams,
     ForecastNoise,
     WeatherDay,
+    WeatherTable,
     attach_forecasts,
     default_forecast_noise,
     fahrenheit_to_celsius,
@@ -25,6 +29,8 @@ from orchardrl.weather import (
     synthesize_season,
     write_weather_csv,
 )
+
+from conftest import weather_table
 
 
 def make_day(date=dt.date(2020, 3, 1), et=0.15, precip=0.0, **kw):
@@ -99,6 +105,62 @@ class TestWeatherDayValidation:
         d = make_day()
         assert d.numeric_channels == (d.et, d.precip, d.t_max, d.t_avg, d.t_min,
                                       d.h_max, d.h_avg, d.h_min, d.solar, d.wind)
+
+
+class TestWeatherTable:
+    def test_rows_hold_python_floats(self):
+        season = synthesize_season(0, 5)
+        assert type(season[2].date) is dt.date
+        assert all(type(x) is float for d in season for x in d.channels)
+        assert season[-1] == list(season)[-1]
+
+    def test_records_round_trip(self):
+        season = synthesize_season(3, 12)
+        assert weather_table(season) == season
+        assert list(weather_table(season)) == list(season)
+
+    def test_slice_is_a_table_of_views(self):
+        season = synthesize_season(3, 12)
+        tail = season[4:]
+        assert isinstance(tail, WeatherTable) and len(tail) == 8
+        assert np.shares_memory(tail.values, season.values)
+        assert tail[0] == season[4]
+
+    def test_concatenate_keeps_order(self):
+        a, b = synthesize_season(1, 3), synthesize_season(2, 4)
+        assert list(WeatherTable.concatenate([a, b])) == list(a) + list(b)
+
+    def test_shape_checked(self):
+        season = synthesize_season(3, 12)
+        with pytest.raises(ValueError, match="dates"):
+            WeatherTable(season.dates[:3], season.values)
+        with pytest.raises(ValueError, match="dates"):
+            WeatherTable(season.dates, season.values[:, :N_OBSERVED])
+
+    def test_first_offending_date_named(self):
+        season = synthesize_season(3, 12)
+        values = season.values.copy()
+        values[7, CHANNELS.index("h_min")] = -1.0
+        values[9, CHANNELS.index("et")] = -0.5
+        with pytest.raises(ValueError, match=r"^2020-03-08: h_min=-1.0 outside"):
+            WeatherTable(season.dates, values)
+
+    @pytest.mark.parametrize("bad", [
+        {"t_min": 80.0}, {"t_avg": math.nan}, {"h_max": 101.0},
+        {"h_avg": 130.0}, {"h_min": -2.0}, {"et": -0.1}, {"precip": -1.0},
+        {"predicted_et_next": -0.2}, {"forecast_precip_next": -0.3},
+        {"t_min": 80.0, "et": -0.1},
+    ])
+    def test_column_checks_match_the_record_checks(self, bad):
+        with pytest.raises(ValueError) as record:
+            make_day(**bad)
+        values = np.array([make_day().channels] * 3)
+        for name, x in bad.items():
+            values[1, CHANNELS.index(name)] = x
+        dates = np.datetime64("2020-02-29") + np.arange(3)
+        with pytest.raises(ValueError) as table:
+            WeatherTable(dates, values)
+        assert str(table.value) == str(record.value)
 
 
 class TestSynthesizeForecast:
@@ -244,12 +306,12 @@ class TestWeatherCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        assert load_weather_csv(path, noise=ForecastNoise()) == []
+        assert len(load_weather_csv(path, noise=ForecastNoise())) == 0
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n")
-        assert load_weather_csv(path, noise=ForecastNoise()) == []
+        assert len(load_weather_csv(path, noise=ForecastNoise())) == 0
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -272,6 +334,24 @@ class TestWeatherCsv:
         with pytest.raises(ValueError, match=":2:"):
             load_weather_csv(path, noise=ForecastNoise())
 
+    @pytest.mark.parametrize("rows,line,match", [
+        # a bad row is reported before a later unreadable or unordered one
+        (("2020-03-02,0.1,0.0,55,65,75,90,70,50,500,3",
+          "2020-03-03,abc,0.0,75,65,55,90,70,50,500,3"), 3, "temperatures"),
+        (("2020-03-02,0.1,0.0,55,65,75,90,70,50,500,3",
+          "2020-03-01,0.1,0.0,75,65,55,90,70,50,500,3"), 3, "temperatures"),
+        (("2020-03-01,0.1,0.0,75,65,55,90,70,50,500,3",
+          "2020-03-03,-0.1,0.0,75,65,55,90,70,50,500,3"), 3, "increase"),
+        (("2020-03-03,abc",
+          "2020-03-04,-0.1,0.0,75,65,55,90,70,50,500,3"), 3, "columns"),
+    ])
+    def test_first_bad_row_is_reported(self, tmp_path, rows, line, match):
+        path = tmp_path / "bad.csv"
+        good = "2020-03-02,0.1,0.0,75,65,55,90,70,50,500,3"
+        path.write_text("\n".join((",".join(CSV_COLUMNS), good) + rows) + "\n")
+        with pytest.raises(ValueError, match=f":{line}: .*{match}"):
+            load_weather_csv(path, noise=ForecastNoise())
+
     def test_non_monotone_dates_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         r1 = "2020-03-02,0.1,0.0,75,65,55,90,70,50,500,3"
@@ -292,7 +372,7 @@ class TestWeatherCsv:
 def test_attach_forecasts_preserves_observed_channels(rng):
     days = [make_day(date=dt.date(2020, 3, 1) + dt.timedelta(days=i), et=0.1 + 0.01 * i)
             for i in range(5)]
-    out = attach_forecasts(days, ForecastNoise(), rng)
+    out = attach_forecasts(weather_table(days), ForecastNoise(), rng)
     assert [d.numeric_channels for d in out] == [d.numeric_channels for d in days]
     assert out[0].predicted_et_next == days[1].et
 
@@ -326,6 +406,12 @@ class TestGoldenDigests:
         climate = ClimateParams(precip_event_prob=(0.5,) * 12)
         assert _digest(synthesize_season(11, 247, climate=climate)) == \
             "4fd4a3f57f7b867018c94cf9fb9065f01ab2d97dcc8c5e164756b4c9b42a6e10"
+
+    def test_training_corpus(self):
+        # the default run's four synthetic training seasons, as the
+        # trainer's environment reads them
+        assert _digest(build_training_weather(default_run_config())) == \
+            "453f4dba74e42ea8add17d82209174079836bfdaf2a47d49bf2022e32fff78b6"
 
     def test_csv_forecasts(self, tmp_path):
         path = tmp_path / "season.csv"
