@@ -37,11 +37,11 @@ from .runconfig import (
     build_env_config,
     build_levels,
     build_season_weather,
-    build_shield_models,
+    build_shield_config,
     build_training_weather,
     config_hash,
 )
-from .safety import ShieldConfig, screen_rows
+from .safety import screen_rows
 from .software import software_environment
 
 # Controllers that deploy a trained policy; rl-mad's is trained on the
@@ -168,17 +168,6 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
 # -- controller construction -------------------------------------------------
 
 
-def build_shield_config(run: RunConfig) -> ShieldConfig:
-    env_cfg = build_env_config(run)
-    return ShieldConfig(
-        model=build_shield_models(run),
-        v_mad=env_cfg.levels.v_mad,
-        detector_threshold=run.shield.detector_threshold,
-        cap=env_cfg.saturation_cap,
-        a_max=run.env.a_max,
-    )
-
-
 def build_controller(run: RunConfig, name: str,
                      policy: SquashedGaussianPolicy | None = None):
     """Instantiate a roster controller by name.
@@ -192,7 +181,7 @@ def build_controller(run: RunConfig, name: str,
         return EtController(run.n_regions, run.env.a_max)
     if name == "sensor":
         run.sensor.validate_against(build_levels(run))
-        fill_gain = build_shield_models(run)[0].c2
+        fill_gain = build_shield_config(run).model[0].c2
         return SensorController(run.sensor, fill_gain=fill_gain,
                                 a_max=run.env.a_max)
     if name in POLICY_NAMES:

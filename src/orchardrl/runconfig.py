@@ -35,8 +35,7 @@ path)``; an unknown key raises ValueError naming its section):
                     warmup_episodes}
                     episode_length is that of training episodes; a
                     season's episode lasts its days
-    shield          {detector_threshold,
-                    model: "env" | [{c1, c2, c3, b}, ...]}
+    shield          {model: "env" | [{c1, c2, c3, b}, ...]}
                     a model list holds one entry per region
     sensor          {lower_threshold, upper_threshold} of the sensor baseline
 
@@ -67,6 +66,7 @@ from .env import (
 )
 from .hydrology import SoilProfile, derive_levels, testbed_profile
 from .predictor import PredictorModel
+from .safety import ShieldConfig
 from .weather import (
     ClimateParams,
     ForecastNoise,
@@ -83,7 +83,6 @@ TRAINING_SEASONS = 4   # seasons in the synthetic training corpus
 
 @dataclass(frozen=True)
 class ShieldSettings:
-    detector_threshold: float = 0.0
     # "env" borrows the simulator's ground-truth dynamics (exact-model
     # screening); otherwise one fitted model per region.
     model: str | tuple[PredictorModel, ...] = "env"
@@ -221,10 +220,17 @@ def build_training_weather(run: RunConfig) -> WeatherTable:
     return WeatherTable.concatenate(seasons)
 
 
-def build_shield_models(run: RunConfig) -> tuple[PredictorModel, ...]:
-    if run.shield.model == "env":
-        return run.dynamics
-    return tuple(run.shield.model)
+def build_shield_config(run: RunConfig) -> ShieldConfig:
+    """The run's shield: its configured models ("env" borrows the
+    simulator's dynamics), stress level, saturation cap and a_max."""
+    env_cfg = build_env_config(run)
+    return ShieldConfig(
+        model=(run.dynamics if run.shield.model == "env"
+               else tuple(run.shield.model)),
+        v_mad=env_cfg.levels.v_mad,
+        cap=env_cfg.saturation_cap,
+        a_max=run.env.a_max,
+    )
 
 
 # -- JSON (de)serialization --------------------------------------------------

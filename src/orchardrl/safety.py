@@ -4,15 +4,14 @@ Before an agent action executes, the shield predicts each region's next-day
 soil water under that action using its own learned water-balance model.  It
 reads the environment's observation row: the soil-water columns and the two
 forecast columns (predicted_et_next, forecast_precip_next).  If the
-aggregate predicted stress deficit exceeds the detector threshold, the
-shield takes over for this cycle only; the agent resumes control next
-cycle.  On a takeover the fallback controller's action is the starting
-point, and every region the shield still predicts below v_mad under it is
-raised to the least dose that the same model predicts reaches v_mad,
-capped at a_max.  So the shield never
-executes an action it predicts unsafe unless even a_max falls short.  This
-is the minimal correction of Dalal et al. 2018 for one linear constraint
-per region.
+aggregate predicted stress deficit is positive, the shield takes over for
+this cycle only; the agent resumes control next cycle.  On a takeover the
+fallback controller's action is the starting point, and every region the
+shield still predicts below v_mad under it is raised to the least dose that
+the same model predicts reaches v_mad, capped at a_max.  So the shield
+never executes an action it predicts unsafe unless even a_max falls short.
+This is the minimal correction of Dalal et al. 2018 for one linear
+constraint per region.
 
 The detector aggregates per-region positive parts,
 sum_i max(0, v_mad - v_hat_i), so a well-watered region can never mask
@@ -40,7 +39,7 @@ from .predictor import PredictorModel, coefficient_table, predict_next_array
 
 @dataclass(frozen=True)
 class ShieldConfig:
-    """Shield settings: learned dynamics, stress level, detector tuning.
+    """Shield settings: learned dynamics, stress level and dose cap.
 
     model holds one PredictorModel per region: the shield's own fitted
     models, distinct from the simulator's ground-truth dynamics.  cap
@@ -55,14 +54,11 @@ class ShieldConfig:
     v_mad: float
     cap: float
     a_max: float
-    detector_threshold: float = 0.0
     coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.model:
             raise ValueError("shield needs one fitted PredictorModel per region")
-        if self.detector_threshold < 0:
-            raise ValueError("detector_threshold must be nonnegative")
         if self.v_mad < 0:
             raise ValueError("v_mad must be nonnegative")
         if self.a_max < 0:
@@ -140,17 +136,17 @@ def screen_rows(config: ShieldConfig, obs: np.ndarray, proposed: np.ndarray,
     proposed is (k, n_regions); enabled is one bool or a (k,) mask saying
     which rows the shield may override.  Returns the (k, n_regions)
     actions to execute, the (k,) predicted deficits of the proposals and
-    the (k,) trigger mask.  An enabled row triggers when its deficit exceeds
-    the detector threshold; it then gets, region by region, the larger of
-    the fallback's dose and the least dose the shield predicts safe (capped
-    at a_max).  fallback is any controller whose decide(obs) returns one
-    row's depths; only triggered rows consult it.  A disabled row's proposal
-    always passes through, but its deficit is still returned, so ablation
-    runs can count would-have-triggered days.
+    the (k,) trigger mask.  An enabled row triggers when its deficit is
+    positive; it then gets, region by region, the larger of the fallback's
+    dose and the least dose the shield predicts safe (capped at a_max).
+    fallback is any controller whose decide(obs) returns one row's depths;
+    only triggered rows consult it.  A disabled row's proposal always passes
+    through, but its deficit is still returned, so ablation runs can count
+    would-have-triggered days.
     """
     actions = np.array(proposed, dtype=float)
     _, deficits = predicted_deficit(config, obs, actions)
-    triggered = np.asarray(enabled) & (deficits > config.detector_threshold)
+    triggered = np.asarray(enabled) & (deficits > 0.0)
     if triggered.any():
         rows = obs[triggered]
         base = np.array([fallback.decide(row) for row in rows])

@@ -43,20 +43,25 @@ def _first_violation(dates: np.ndarray, values: np.ndarray) -> tuple[int, str] |
     """The first row of (N, len(CHANNELS)) values that breaks a record
     invariant, with a message naming its date; None when every row holds.
 
-    A row's checks run in order: t_min <= t_avg <= t_max, each humidity in
-    [0, 100], then the nonnegative channels; a NaN fails the first two.
+    A row's checks run in order: every channel finite (no NaN or inf),
+    t_min <= t_avg <= t_max, each humidity in [0, 100], then the
+    nonnegative channels.
     """
     col = {name: values[:, i] for i, name in enumerate(CHANNELS)}
-    bad = np.stack(
-        [~((col["t_min"] <= col["t_avg"]) & (col["t_avg"] <= col["t_max"]))]
-        + [~((col[h] >= 0.0) & (col[h] <= 100.0)) for h in _HUMIDITY]
-        + [col[x] < 0.0 for x in _NONNEGATIVE])
+    bad = np.concatenate([
+        ~np.isfinite(values).T,
+        [~((col["t_min"] <= col["t_avg"]) & (col["t_avg"] <= col["t_max"]))],
+        [~((col[h] >= 0.0) & (col[h] <= 100.0)) for h in _HUMIDITY],
+        [col[x] < 0.0 for x in _NONNEGATIVE]])
     rows = bad.any(axis=0)
     if not rows.any():
         return None
     i = int(rows.argmax())
-    check = int(bad[:, i].argmax())
-    if check == 0:
+    # the finite checks, one per channel, come first: they index from the end
+    check = int(bad[:, i].argmax()) - len(CHANNELS)
+    if check < 0:
+        why = f"{CHANNELS[check]}={float(values[i, check])} is not finite"
+    elif check == 0:
         why = "temperatures must satisfy t_min <= t_avg <= t_max"
     elif check <= len(_HUMIDITY):
         name = _HUMIDITY[check - 1]

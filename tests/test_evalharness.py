@@ -23,7 +23,6 @@ from orchardrl.evalharness import (
     ROSTER_NAMES,
     ControllerResult,
     build_controller,
-    build_shield_config,
     per_region_band_days,
     qos,
     read_daily,
@@ -32,12 +31,13 @@ from orchardrl.evalharness import (
     water_savings,
     write_results,
 )
+from orchardrl.predictor import PredictorModel
 from orchardrl.runconfig import (
     ShieldSettings,
     build_env_config,
     build_levels,
     build_season_weather,
-    build_shield_models,
+    build_shield_config,
     config_hash,
     default_run_config,
 )
@@ -220,7 +220,7 @@ class TestBuildController:
         assert isinstance(build_controller(run, "et"), EtController)
         sensor = build_controller(run, "sensor")
         assert isinstance(sensor, SensorController)
-        assert sensor.fill_gain == build_shield_models(run)[0].c2
+        assert sensor.fill_gain == build_shield_config(run).model[0].c2
 
     def test_zero_controller(self):
         run = default_run_config()
@@ -237,14 +237,18 @@ class TestBuildController:
             build_controller(default_run_config(), "sprinkler")
 
     def test_shield_config_follows_run_settings(self):
-        run = default_run_config(
-            shield=ShieldSettings(detector_threshold=0.05),
-            env=PlantParams(a_max=0.4))
+        run = default_run_config(env=PlantParams(a_max=0.4))
         cfg = build_shield_config(run)
-        assert cfg.model == build_shield_models(run)
+        assert cfg.model == run.dynamics
         assert cfg.v_mad == build_levels(run).v_mad
         assert cfg.cap == build_env_config(run).saturation_cap
-        assert (cfg.a_max, cfg.detector_threshold) == (0.4, 0.05)
+        assert cfg.a_max == 0.4
+        # a fitted list replaces the simulator's dynamics, sensor included
+        fitted = (PredictorModel(c1=0.99, c2=0.9, c3=-0.7, b=0.0),
+                  PredictorModel(c1=0.98, c2=0.8, c3=-0.6, b=0.01))
+        run = default_run_config(shield=ShieldSettings(model=fitted))
+        assert build_shield_config(run).model == fitted
+        assert build_controller(run, "sensor").fill_gain == 0.9
 
     def test_only_rl_noshield_disables_the_shield(self):
         run = default_run_config()

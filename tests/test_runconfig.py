@@ -110,13 +110,14 @@ class TestJsonRoundTrip:
         assert len(run.dynamics) == 1
 
     def test_nested_sections_merge_over_defaults(self):
+        model = [{"c1": 0.99, "c2": 0.9, "c3": -0.7, "b": 0.0},
+                 {"c1": 0.98, "c2": 0.8, "c3": -0.6, "b": 0.01}]
         run = from_json_dict({"trainer": {"max_iterations": 7},
-                              "shield": {"detector_threshold": 0.5},
+                              "shield": {"model": model},
                               "climate": {"start": "2021-04-01"}})
         assert run.trainer.max_iterations == 7
         assert run.trainer.gamma == 0.99
-        assert run.shield.detector_threshold == 0.5
-        assert run.shield.model == "env"
+        assert run.shield.model == tuple(PredictorModel(**m) for m in model)
         assert run.climate.start == dt.date(2021, 4, 1)
 
     def test_unknown_top_level_key_rejected(self):
@@ -137,6 +138,10 @@ class TestJsonRoundTrip:
         # passes a snapshot
         with pytest.raises(ValueError, match=r"unknown shield keys: \['enabled'\]"):
             from_json_dict({"shield": {"enabled": False}})
+        # the shield triggers on any positive predicted deficit
+        with pytest.raises(ValueError,
+                           match=r"unknown shield keys: \['detector_threshold'\]"):
+            from_json_dict({"shield": {"detector_threshold": 0.0}})
         with pytest.raises(ValueError, match=r"unknown config keys: \['policy_path'\]"):
             from_json_dict({"policy_path": "policy.npz"})
         # synthesis takes each day's radiation from ra_base and ra_amp

@@ -145,11 +145,18 @@ class TestWeatherTable:
         with pytest.raises(ValueError, match=r"^2020-03-08: h_min=-1.0 outside"):
             WeatherTable(season.dates, values)
 
+    def test_infinite_wind_rejected(self):
+        season = synthesize_season(3, 12)
+        values = season.values.copy()
+        values[4, CHANNELS.index("wind")] = math.inf
+        with pytest.raises(ValueError, match=r"^2020-03-05: wind=inf is not finite"):
+            WeatherTable(season.dates, values)
+
     @pytest.mark.parametrize("bad", [
         {"t_min": 80.0}, {"t_avg": math.nan}, {"h_max": 101.0},
         {"h_avg": 130.0}, {"h_min": -2.0}, {"et": -0.1}, {"precip": -1.0},
         {"predicted_et_next": -0.2}, {"forecast_precip_next": -0.3},
-        {"t_min": 80.0, "et": -0.1},
+        {"t_min": 80.0, "et": -0.1}, {"solar": math.inf}, {"et": math.nan},
     ])
     def test_column_checks_match_the_record_checks(self, bad):
         with pytest.raises(ValueError) as record:
@@ -326,6 +333,15 @@ class TestWeatherCsv:
         path.write_text(",".join(CSV_COLUMNS) + "\n" + good + "\n" + bad + "\n")
         with pytest.raises(ValueError, match=":3:"):
             load_weather_csv(path, noise=ForecastNoise())
+
+    def test_nan_et_names_line(self, tmp_path):
+        # a NaN mean ET would silently turn the default ET forecast noise off
+        path = tmp_path / "bad.csv"
+        good = "2020-03-01,0.1,0.0,75,65,55,90,70,50,500,3"
+        bad = "2020-03-02,nan,0.0,75,65,55,90,70,50,500,3"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + good + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match=":3: 2020-03-02: et=nan is not finite"):
+            load_weather_csv(path, noise=default_forecast_noise)
 
     def test_unparseable_value_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
