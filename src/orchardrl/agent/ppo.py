@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..env import N_MONTHS, IrrigationEnv, NormalizationStats
+from ..env import N_MONTHS, IrrigationEnv, NormalizationStats, reward
 from .mlp import AdamOptimizer
 from .policy import SquashedGaussianPolicy
 
@@ -327,7 +327,7 @@ def _collect_normalization_stats(env: IrrigationEnv, config: TrainerConfig,
     actions = np.stack(actions, axis=1)    # (days, episodes, n_regions)
     samples = [env.reset(seeds)]
     for a in actions:
-        samples.append(env.step(a)[0])
+        samples.append(env.step(a))
     n_continuous = cfg.obs_dim - N_MONTHS   # month one-hot stays raw
     episode_major = np.stack(samples, axis=1).reshape(-1, cfg.obs_dim)
     return NormalizationStats.from_samples(episode_major, n_continuous)
@@ -337,23 +337,26 @@ def _rollout(env: IrrigationEnv, policy: SquashedGaussianPolicy,
              config: TrainerConfig, rng: np.random.Generator
              ) -> tuple[RolloutBatch, np.ndarray, np.ndarray]:
     """Run episodes_per_iteration episodes in lockstep under the frozen
-    policy.
+    policy, scoring each day with reward() on the environment's next-day
+    soil water and applied depths.
 
     Returns the batch (rows grouped by episode, days in order), the raw
     returns-to-go as an (episodes, days) array, and each episode's total
     reward.
     """
-    E, L = config.episodes_per_iteration, env.config.episode_length
+    cfg = env.config
+    E, L = config.episodes_per_iteration, cfg.episode_length
     raw = env.reset(rng.integers(2 ** 32, size=E))
-    obs = np.empty((L, E, env.config.obs_dim))
-    pre_squash = np.empty((L, E, len(env.config.dynamics)))
+    obs = np.empty((L, E, cfg.obs_dim))
+    pre_squash = np.empty((L, E, len(cfg.dynamics)))
     log_jac = np.empty_like(pre_squash)
     logp = np.empty((L, E))
     rewards = np.empty((L, E))
     for t in range(L):
         obs[t] = policy.norm_stats.apply(raw)
         a, pre_squash[t], logp[t], log_jac[t] = policy.sample(obs[t], rng)
-        raw, rewards[t] = env.step(a)
+        raw = env.step(a)
+        rewards[t] = reward(env.v, env.a, cfg.levels, cfg.reward)
 
     def by_episode(x: np.ndarray) -> np.ndarray:
         return x.swapaxes(0, 1).reshape(E * L, *x.shape[2:])

@@ -6,8 +6,10 @@ region's soil water, the day's completed weather and the next-day forecast
 channels, and the month one-hot.  Every controller, the shield and the
 policy read those rows.  Actions are per-region irrigation depths in
 [0, a_max] inches; dynamics advance each region through its own linear
-water-balance model with optional Gaussian process noise; the reward
-penalizes over-irrigation, water use, and stress-threshold violations.
+water-balance model with optional Gaussian process noise.  Stepping returns
+observations only; reward() scores a step from the next-day soil water and
+the applied depths, penalizing over-irrigation, water use, and
+stress-threshold violations, and only the trainer calls it.
 
 EnvConfig holds the soil levels, one dynamics model per region, the episode
 length, the reward weights (RewardParams) and the plant settings
@@ -281,9 +283,13 @@ class IrrigationEnv:
         self._day = 0
         return self._observations()
 
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, actions: np.ndarray) -> np.ndarray:
         """Advance every episode one day under (E, n_regions) depths; returns
-        the next (E, obs_dim) observations and the (E,) rewards."""
+        the next (E, obs_dim) observations.
+
+        step scores nothing: a caller that wants the day's rewards computes
+        reward(env.v, env.a, config.levels, config.reward) from the
+        next-day soil water and the depths as applied (after clipping)."""
         cfg, plant = self.config, self.config.plant
         if self.v is None:
             raise RuntimeError("reset() must be called before step()")
@@ -307,7 +313,7 @@ class IrrigationEnv:
             v_next = np.clip(v_next + self._noise[self._day], 0.0, cap)
         self.v, self.a = v_next, a
         self._day += 1
-        return self._observations(), reward(v_next, a, cfg.levels, cfg.reward)
+        return self._observations()
 
     def _observations(self) -> np.ndarray:
         return np.concatenate(

@@ -149,7 +149,7 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
             (proposals[screened], deficits[screened, day],
              triggered[screened, day]) = screen_rows(
                 shield, obs[screened], proposals[screened], fallback, enabled)
-        obs, _ = env.step(proposals)
+        obs = env.step(proposals)
         actions[:, day] = env.a
         soil[:, day] = env.v
 
@@ -222,24 +222,49 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _daily_rows(name: str, entry: ControllerResult):
-    """One controller's daily.csv lines, byte for byte what csv.writer
-    writes for [name, day, date, repr of each float, deficit or "",
-    triggered as 0/1, source]."""
-    name = _csv_field(name)
-    values = np.column_stack([entry.daily_water, entry.actions, entry.soil]).tolist()
-    for day, (date, row, deficit, trig, source) in enumerate(zip(
-            entry.dates, values, entry.deficits.tolist(),
-            entry.triggered.tolist(), entry.sources)):
-        yield (f"{name},{day},{date.isoformat()},{','.join(map(repr, row))},"
-               f"{'' if deficit != deficit else repr(deficit)},{int(trig)},"
-               f"{_csv_field(source)}{_CSV_EOL}")
+def _daily_blocks(entries: dict[str, ControllerResult]):
+    """daily.csv's data lines, one string per controller, byte for byte what
+    csv.writer writes for [name, day, date, repr of each float, deficit or
+    "", triggered as 0/1, source].
+
+    The water, action and soil floats of the whole file are formatted once
+    per distinct float64 bit pattern (bits, not values, so -0.0 and 0.0
+    keep their own reprs), into one table of strings that every
+    controller's rows index in turn; each date is formatted once.  The
+    patterns are found per controller first and then merged, which keeps
+    the sort's temporaries a controller's size.
+    """
+    local = [np.unique(np.column_stack([e.daily_water, e.actions, e.soil])
+                       .view(np.int64), return_inverse=True)
+             for e in entries.values()]
+    distinct, where = np.unique(np.concatenate([u for u, _ in local]),
+                                return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
+                    dtype=object)
+    iso = dict.fromkeys(d for e in entries.values() for d in e.dates)
+    for date in iso:
+        iso[date] = date.isoformat()
+    start = 0
+    for (name, entry), (patterns, inverse) in zip(entries.items(), local):
+        rows = text[where[start:start + len(patterns)]][inverse].tolist()
+        start += len(patterns)
+        name = _csv_field(name)
+        yield "".join([
+            f"{name},{day},{iso[date]},{','.join(row)},"
+            f"{'' if deficit != deficit else repr(deficit)},{int(trig)},"
+            f"{_csv_field(source)}{_CSV_EOL}"
+            for day, (date, row, deficit, trig, source) in enumerate(zip(
+                entry.dates, rows, entry.deficits.tolist(),
+                entry.triggered.tolist(), entry.sources))])
 
 
 def write_results(outdir, experiment: ExperimentResult,
                   levels: SoilLevels) -> None:
     """Persist summary.csv, daily.csv, and manifest.json under outdir; the
-    manifest also records the software environment."""
+    manifest also records the software environment.
+
+    daily.csv is written without csv.writer but byte for byte as it would
+    write it; each distinct float of the file is formatted once."""
     os.makedirs(outdir, exist_ok=True)
     n_regions = next(iter(experiment.entries.values())).soil.shape[1]
 
@@ -258,8 +283,7 @@ def write_results(outdir, experiment: ExperimentResult,
         header += [f"v_{i}" for i in range(n_regions)]
         header += ["deficit", "triggered", "source"]
         fh.write(",".join(header) + _CSV_EOL)
-        for name, entry in experiment.entries.items():
-            fh.write("".join(_daily_rows(name, entry)))
+        fh.writelines(_daily_blocks(experiment.entries))
 
     manifest = {
         "config_fingerprint": experiment.config_fingerprint,

@@ -163,16 +163,16 @@ class TestReset:
         actions[:, 3] = 0.0
         obs, rewards = [env.reset(seeds)], []
         for a in actions:
-            o, r = env.step(a)
-            obs.append(o)
-            rewards.append(r)
+            obs.append(env.step(a))
+            rewards.append(reward(env.v, env.a, cfg.levels, cfg.reward))
         for e, seed in enumerate(seeds):
             lone = IrrigationEnv(cfg, weather)
             assert np.array_equal(lone.reset([seed])[0], obs[0][e])
             for t, a in enumerate(actions):
-                o, r = lone.step(a[e:e + 1])
+                o = lone.step(a[e:e + 1])
                 assert np.array_equal(o[0], obs[t + 1][e])
-                assert r[0] == rewards[t][e]
+                assert reward(lone.v, lone.a, cfg.levels, cfg.reward)[0] \
+                    == rewards[t][e]
         assert not np.array_equal(obs[-1][0], obs[-1][3])
 
     def test_initial_band_moments(self):
@@ -230,7 +230,7 @@ class TestReset:
         months = [obs[:, -12:].argmax(axis=1)]
         zeros = np.zeros_like(env.v)
         for _ in range(cfg.episode_length):
-            obs, _ = env.step(zeros)
+            obs = env.step(zeros)
             months.append(obs[:, -12:].argmax(axis=1))
         assert np.all(np.isin(np.diff(months, axis=0), (0, 1)))
 
@@ -292,16 +292,17 @@ class TestStep:
         # season starts March 30 so the third record crosses into April
         env = make_point_env(days=4, et=0.1, start=dt.date(2020, 3, 30))
         assert month_of(env.reset([0])) == 3
-        months = [month_of(env.step(np.array([[0.1]]))[0]) for _ in range(3)]
+        months = [month_of(env.step(np.array([[0.1]]))) for _ in range(3)]
         assert months == [3, 4, 4]
         with pytest.raises(RuntimeError, match="exhausted"):
             env.step(np.array([[0.1]]))
 
     def test_reward_uses_post_step_moisture(self):
         env = make_point_env(v0=5.0, et=0.15)
-        _, r = env.step(np.array([[0.3]]))
+        env.step(np.array([[0.3]]))
         # v_next 4.93895 sits below this env's collapsed v_mad = 5.0
         lv = env.config.levels
+        r = reward(env.v, env.a, lv, env.config.reward)
         expect = -(10.0 * (lv.v_mad - 4.93895) + 1.0 * 0.3)
         assert r[0] == pytest.approx(expect, abs=1e-9)
 
@@ -383,7 +384,7 @@ class TestNormalization:
         env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
         rows = [env.reset(range(4, 6))]
         for _ in range(n // 2 - 1):
-            rows.append(env.step(np.full((2, 2), 0.2))[0])
+            rows.append(env.step(np.full((2, 2), 0.2)))
         return cfg, np.concatenate(rows)
 
     def test_corpus_mean_maps_to_zero(self):
@@ -466,10 +467,9 @@ class TestVecIrrigationEnv:
         obs = [vec.reset(self.SEEDS)]
         soil, rewards = [vec.v], []
         for a in actions:
-            o, r = vec.step(a)
-            obs.append(o)
+            obs.append(vec.step(a))
             soil.append(vec.v)
-            rewards.append(r)
+            rewards.append(reward(vec.v, vec.a, cfg.levels, cfg.reward))
         n, L = len(cfg.dynamics), cfg.episode_length
         cap, std = cfg.saturation_cap, cfg.plant.process_noise_std
         for e, seed in enumerate(self.SEEDS):

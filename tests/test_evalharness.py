@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+import orchardrl.env
 from orchardrl.agent.policy import SquashedGaussianPolicy
 from orchardrl.controllers import (
     SOURCE_ET,
@@ -22,6 +23,7 @@ from orchardrl.evalharness import (
     POLICY_NAMES,
     ROSTER_NAMES,
     ControllerResult,
+    ExperimentResult,
     build_controller,
     per_region_band_days,
     qos,
@@ -204,6 +206,18 @@ class TestRunRoster:
         assert alone.sources == paired.sources
         assert alone.dates == paired.dates
 
+    def test_roster_scores_no_rewards(self, monkeypatch):
+        # a season's files hold no reward, so the roster never computes one
+        def no_reward(*args):
+            raise AssertionError("run_roster computed a reward")
+
+        monkeypatch.setattr(orchardrl.env, "reward", no_reward)
+        run = default_run_config(days=20, seed=6)
+        exp = run_roster(run, {
+            "et": build_controller(run, "et"),
+            "screened": ShieldedController(ConstantController(run.n_regions, 0.0))})
+        assert exp.entries["screened"].shield_trigger_days > 0
+
     def test_identical_controllers_get_identical_soil(self):
         run = default_run_config(days=20, seed=10)
         exp = run_roster(run, {"x": ConstantController(run.n_regions, 0.2),
@@ -325,6 +339,31 @@ class TestResultFiles:
                        int(entry.triggered[day]), entry.sources[day]])
         return buf.getvalue().encode()
 
+    @staticmethod
+    def edge_experiment():
+        """Floats a writer that formats each distinct value once could get
+        wrong: -0.0 beside 0.0 in one column (equal as floats, yet their
+        reprs differ), the least subnormal, values whose repr takes
+        exponent form, values shared across controllers, and NaN deficits
+        beside zero ones."""
+        dates = [dt.date(2021, 12, 30) + dt.timedelta(days=i) for i in range(4)]
+        a = np.array([[0.0, -0.0], [-0.0, 5e-324], [1e16, 1e-05], [0.1, 0.54]])
+        v = np.array([[5.5, 1e-05], [0.1, -0.0], [5e-324, 1e16], [0.0, 5.5]])
+
+        def entry(actions, soil, water, deficits, triggered):
+            return ControllerResult(
+                season_days=4, initial_v=soil[0], dates=list(dates),
+                daily_water=np.array(water), actions=actions, soil=soil,
+                sources=[SOURCE_SHIELD if t else SOURCE_ET for t in triggered],
+                deficits=np.array(deficits), triggered=np.array(triggered))
+
+        return ExperimentResult(season_days=4, seed=0, config_fingerprint="x",
+                                entries={
+            "x": entry(a, v, [-0.0, 0.0, 1e16, 5e-324],
+                       [np.nan, 0.0, -0.0, 1e-05], [False, True, False, True]),
+            "y": entry(v, a, [0.0, -0.0, 1e-05, 0.54],
+                       [np.nan] * 4, [False] * 4)})
+
     def test_daily_csv_matches_csv_writer(self, tmp_path, levels):
         run = default_run_config(days=30, seed=12)
         exp = run_roster(run, {
@@ -334,9 +373,10 @@ class TestResultFiles:
                                            enabled=False),
             "line\nbreak": build_controller(run, "sensor")})
         assert exp.entries["a,b"].shield_trigger_days > 0
-        write_results(tmp_path, exp, levels)
-        assert ((tmp_path / "daily.csv").read_bytes()
-                == self.csv_writer_daily(exp))
+        for k, experiment in enumerate((exp, self.edge_experiment())):
+            write_results(tmp_path / str(k), experiment, levels)
+            assert ((tmp_path / str(k) / "daily.csv").read_bytes()
+                    == self.csv_writer_daily(experiment))
 
     def test_controller_name_with_a_comma_round_trips(self, tmp_path, levels):
         run = default_run_config(days=6, seed=11)

@@ -277,7 +277,7 @@ class TestSoundness:
             proposal = rng.uniform(0.0, cfg.plant.a_max, size=len(cfg.dynamics))
             action, _ = screen(shield, obs[0], proposal, fallback)
             assert np.all(action <= cfg.plant.a_max)
-            obs, _ = env.step(action[None])
+            obs = env.step(action[None])
             assert np.all(env.v >= cfg.levels.v_mad - 1e-9)
 
     @settings(max_examples=25, deadline=None)
