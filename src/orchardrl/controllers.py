@@ -70,9 +70,10 @@ class SensorController:
     """Per-region threshold baseline.
 
     When a region's soil water drops strictly below the lower threshold, it
-    receives the dose that fills it to the upper threshold under the assumed
-    application gain (the shield predictor's irrigation coefficient), capped
-    at a_max; otherwise nothing.
+    receives the dose that fills it to the upper threshold under that
+    region's assumed application gain (fill_gain, one per region or one for
+    all; the roster passes the shield models' irrigation coefficients c2),
+    capped at a_max; otherwise nothing.
 
     The lower threshold does not guarantee a stress-free season.  Its margin
     over v_mad is 4.96 - 4.726 = 0.234 in with the default profile, while
@@ -86,10 +87,9 @@ class SensorController:
 
     source = SOURCE_SENSOR
 
-    def __init__(self, config: SensorControllerConfig, fill_gain: float,
-                 a_max: float):
-        if fill_gain <= 0:
-            raise ValueError("fill_gain must be positive")
+    def __init__(self, config: SensorControllerConfig, fill_gain, a_max: float):
+        if np.any(np.asarray(fill_gain) <= 0):
+            raise ValueError("every fill_gain must be positive")
         self.config = config
         self.fill_gain = fill_gain
         self.a_max = a_max

@@ -181,8 +181,9 @@ def build_controller(run: RunConfig, name: str,
         return EtController(run.n_regions, run.env.a_max)
     if name == "sensor":
         run.sensor.validate_against(build_levels(run))
-        fill_gain = build_shield_config(run).model[0].c2
-        return SensorController(run.sensor, fill_gain=fill_gain,
+        # each region fills under its own shield model's gain c2
+        return SensorController(run.sensor,
+                                fill_gain=build_shield_config(run).coef[1],
                                 a_max=run.env.a_max)
     if name in POLICY_NAMES:
         if policy is None:

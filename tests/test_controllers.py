@@ -93,10 +93,12 @@ class TestSensorController:
         assert ctl.decide(make_obs([4.80]))[0] == A_MAX
 
     def test_uncapped_fill_dose(self):
-        ctl = SensorController(SensorControllerConfig(), fill_gain=5.0,
+        # each region fills under its own gain
+        ctl = SensorController(SensorControllerConfig(), fill_gain=(5.0, 4.5),
                                a_max=A_MAX)
-        a = ctl.decide(make_obs([4.80]))
+        a = ctl.decide(make_obs([4.80, 4.80]))
         assert a[0] == pytest.approx((6.97 - 4.80) / 5.0, abs=1e-12)
+        assert a[1] == pytest.approx((6.97 - 4.80) / 4.5, abs=1e-12)
         assert ctl.source == SOURCE_SENSOR
 
     def test_regions_decided_independently(self):
@@ -129,6 +131,9 @@ class TestSensorController:
     def test_fill_gain_positive(self):
         with pytest.raises(ValueError, match="fill_gain"):
             SensorController(SensorControllerConfig(), fill_gain=0.0,
+                             a_max=A_MAX)
+        with pytest.raises(ValueError, match="fill_gain"):
+            SensorController(SensorControllerConfig(), fill_gain=(0.9, 0.0),
                              a_max=A_MAX)
 
     def test_thresholds_checked_against_levels(self):

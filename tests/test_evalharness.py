@@ -234,7 +234,8 @@ class TestBuildController:
         assert isinstance(build_controller(run, "et"), EtController)
         sensor = build_controller(run, "sensor")
         assert isinstance(sensor, SensorController)
-        assert sensor.fill_gain == build_shield_config(run).model[0].c2
+        assert sensor.fill_gain.tolist() == [
+            m.c2 for m in build_shield_config(run).model] == [0.95, 0.93]
 
     def test_zero_controller(self):
         run = default_run_config()
@@ -262,7 +263,7 @@ class TestBuildController:
                   PredictorModel(c1=0.98, c2=0.8, c3=-0.6, b=0.01))
         run = default_run_config(shield=ShieldSettings(model=fitted))
         assert build_shield_config(run).model == fitted
-        assert build_controller(run, "sensor").fill_gain == 0.9
+        assert build_controller(run, "sensor").fill_gain.tolist() == [0.9, 0.8]
 
     def test_only_rl_noshield_disables_the_shield(self):
         run = default_run_config()
