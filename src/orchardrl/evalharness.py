@@ -5,7 +5,11 @@ controller, every episode reset with the run's seed.  So every controller
 faces the same weather, initial soil state and process-noise stream by
 construction, and water and stress metrics differ only through the
 decisions.  Each day every controller decides on its own episode's
-observation row, and one shield call screens the rows of every shielded
+observation row: the baselines through their decide, the RL controllers'
+distinct policies in one stacked pass per architecture (agent.policy's
+PolicyStack, bit for bit each policy's own mean_action), and a controller
+sharing an earlier one's policy by copying its proposal while their rows
+are bitwise equal.  Then one shield call screens the rows of every shielded
 controller.  Results persist as a daily CSV, a summary CSV, and a JSON
 manifest carrying the config fingerprint.
 """
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent.policy import SquashedGaussianPolicy
+from .agent.policy import PolicyStack, SquashedGaussianPolicy
 from .agent.ppo import CurvePoint, train
 from .controllers import (
     SOURCE_SHIELD,
@@ -118,8 +122,9 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     first day.  Every episode resets with the run's seed, so all controllers
     see identical initial soil water and noise streams, and a controller's
     season does not depend on which others share the roster.  Each day the
-    run's shield screens the proposals of every ShieldedController in one
-    call, with the ET baseline as fallback.
+    RL controllers' policies decide in stacked passes, and the run's shield
+    screens the proposals of every ShieldedController in one call, with the
+    ET baseline as fallback.
     """
     season = build_season_weather(run)
     names = list(controllers)
@@ -129,8 +134,25 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     obs = env.reset([run.seed] * E)
 
     screened = np.flatnonzero([isinstance(c, ShieldedController) for c in ctls])
-    deciders = [(c.inner if isinstance(c, ShieldedController) else c).decide
-                for c in ctls]
+    inner = [c.inner if isinstance(c, ShieldedController) else c for c in ctls]
+    # the first controller of each RL policy leads it; the leads' policies
+    # decide in one stacked pass per architecture and normalization layout
+    leads: dict[int, int] = {}
+    twins = []
+    for e, c in enumerate(inner):
+        if isinstance(c, RlController):
+            lead = leads.setdefault(id(c.policy), e)
+            if lead != e:
+                twins.append((e, lead))
+    stacked: dict[tuple, list[int]] = {}
+    for e in leads.values():
+        policy = inner[e].policy
+        stacked.setdefault((policy.net.sizes, policy.norm_stats.n_continuous),
+                           []).append(e)
+    stacks = [(np.array(rows), PolicyStack([inner[e].policy for e in rows]))
+              for rows in stacked.values()]
+    alone = [(e, c.decide) for e, c in enumerate(inner)
+             if not isinstance(c, RlController)]
     shield = build_shield_config(run) if screened.size else None
     fallback = EtController(n, run.env.a_max)
     enabled = np.array([ctls[e].enabled for e in screened], dtype=bool)
@@ -143,8 +165,16 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     proposals = np.empty((E, n))
 
     for day in range(run.days):
-        for e, decide in enumerate(deciders):
+        for e, decide in alone:
             proposals[e] = decide(obs[e])
+        for rows, stack in stacks:
+            proposals[rows] = stack.mean_actions(obs[rows])
+        # a twin shares its lead's policy: on a bitwise equal row it copies
+        # the lead's proposal, before the shield replaces any of them
+        for e, lead in twins:
+            proposals[e] = (proposals[lead]
+                            if obs[e].tobytes() == obs[lead].tobytes()
+                            else inner[e].decide(obs[e]))
         if screened.size:
             (proposals[screened], deficits[screened, day],
              triggered[screened, day]) = screen_rows(

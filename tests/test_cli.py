@@ -11,7 +11,8 @@ import pytest
 
 from orchardrl.agent.policy import SquashedGaussianPolicy, load_policy
 from orchardrl.env import NormalizationStats
-from orchardrl.evalharness import read_summary
+from orchardrl.controllers import SensorControllerConfig
+from orchardrl.evalharness import read_daily, read_summary
 from orchardrl.predictor import (
     TREE2_MODEL,
     ObservationRow,
@@ -307,6 +308,57 @@ class TestCompare:
                 assert "  region 1: " in res.stdout
         assert outputs["measured"] == outputs["exact"]
         assert outputs["measured"] != outputs["noisy"]
+
+
+class TestCompareOwnSnapshots:
+    """compare on two hand-made snapshots of different hidden sizes, with
+    three regions of different c2 and an a_max of 3.0 in, so the sensor
+    baseline's doses fill to the upper threshold uncapped."""
+
+    CONFIG = {"seed": 3, "days": 60, "n_regions": 3, "env": {"a_max": 3.0},
+              "dynamics": [{"c1": 0.998, "c2": 0.95, "c3": -0.70, "b": 0.002},
+                           {"c1": 0.997, "c2": 0.90, "c3": -0.75, "b": 0.003},
+                           {"c1": 0.996, "c2": 0.85, "c3": -0.72, "b": 0.001}]}
+
+    @pytest.fixture(scope="class")
+    def compared(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("own_snapshots")
+        n = self.CONFIG["n_regions"]
+        snapshots = []
+        for name, hidden in (("rl", (8,)), ("mad", (4, 4))):
+            policy = SquashedGaussianPolicy(obs_dim=n + 24, n_regions=n,
+                                            a_max=0.54, hidden=hidden, seed=1)
+            policy.norm_stats = NormalizationStats(mean=np.zeros(n + 12),
+                                                   std=np.ones(n + 12))
+            snapshots.append(str(tmp / f"{name}.npz"))
+            policy.save(snapshots[-1])
+        config = tmp / "run.json"
+        config.write_text(json.dumps(self.CONFIG))
+        out = tmp / "out"
+        res = run_cli("compare", "--config", str(config), "--out", str(out),
+                      "--policy", snapshots[0], "--policy-mad", snapshots[1])
+        return res, out
+
+    def test_policies_of_different_hidden_sizes(self, compared):
+        res, out = compared
+        assert res.returncode == 0, res.stderr
+        assert set(read_summary(out / "summary.csv")) == {
+            "et", "sensor", "rl", "rl-mad", "rl-noshield"}
+
+    def test_sensor_fills_each_region_under_its_own_gain(self, compared):
+        res, out = compared
+        assert res.returncode == 0, res.stderr
+        sensor = SensorControllerConfig()
+        rows = read_daily(out / "daily.csv")["sensor"]
+        for i, model in enumerate(self.CONFIG["dynamics"]):
+            doses = [(day[f"a_{i}"], (sensor.upper_threshold - before[f"v_{i}"])
+                      / model["c2"])
+                     for before, day in zip(rows, rows[1:])
+                     if before[f"v_{i}"] < sensor.lower_threshold]
+            assert doses, f"region {i} never fell below the lower threshold"
+            for dose, fill in doses:
+                assert fill < self.CONFIG["env"]["a_max"]
+                assert dose == fill
 
 
 class TestGoldenOutputs:

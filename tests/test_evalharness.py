@@ -18,7 +18,7 @@ from orchardrl.controllers import (
     SensorController,
     ShieldedController,
 )
-from orchardrl.env import NormalizationStats, PlantParams
+from orchardrl.env import N_MONTHS, NormalizationStats, PlantParams
 from orchardrl.evalharness import (
     POLICY_NAMES,
     ROSTER_NAMES,
@@ -223,6 +223,51 @@ class TestRunRoster:
         exp = run_roster(run, {"x": ConstantController(run.n_regions, 0.2),
                                "y": ConstantController(run.n_regions, 0.2)})
         assert np.array_equal(exp.entries["x"].soil, exp.entries["y"].soil)
+
+    @staticmethod
+    def live_policy(run, hidden, seed):
+        """A policy with a live output layer biased toward little water, and
+        normalization statistics of its own."""
+        obs_dim = build_env_config(run).obs_dim
+        policy = SquashedGaussianPolicy(obs_dim, run.n_regions, run.env.a_max,
+                                        hidden=hidden, seed=seed)
+        policy.net.weights[-1][:] *= 100.0
+        policy.net.biases[-1][:] = -1.0
+        rng = np.random.default_rng(seed)
+        n = obs_dim - N_MONTHS
+        policy.norm_stats = NormalizationStats(mean=rng.uniform(0.0, 5.0, n),
+                                               std=rng.uniform(0.5, 3.0, n))
+        return policy
+
+    @pytest.mark.parametrize("mad_hidden", [(8,), (16, 16)],
+                             ids=["two-architectures", "one-architecture"])
+    def test_rl_entries_match_their_rosters_of_one(self, mad_hidden):
+        # rl and rl-noshield share one policy; rl-mad has its own, of other
+        # or of the same hidden sizes.  The twins see the same rows until
+        # rl's shield first takes over, and their own rows after it.
+        run = default_run_config(days=60, seed=1)
+        policy = self.live_policy(run, (16, 16), seed=1)
+        policies = {"rl": policy, "rl-noshield": policy,
+                    "rl-mad": self.live_policy(run, mad_hidden, seed=2)}
+        roster = run_roster(run, {
+            name: build_controller(run, name, policy=policies.get(name))
+            for name in ROSTER_NAMES}).entries
+        rl, twin = roster["rl"], roster["rl-noshield"]
+        first = int(np.argmax(rl.triggered))
+        assert 0 < first < run.days - 1 and rl.triggered[first]
+        assert np.array_equal(rl.soil[:first], twin.soil[:first])
+        assert np.array_equal(rl.actions[:first], twin.actions[:first])
+        assert not np.array_equal(rl.soil[first:], twin.soil[first:])
+        assert len({tuple(a) for a in twin.actions}) > run.days // 2
+        for name, policy in policies.items():
+            alone = run_season(run, build_controller(run, name, policy=policy),
+                               name)
+            entry = roster[name]
+            for field in ("initial_v", "daily_water", "actions", "soil",
+                          "deficits", "triggered"):
+                assert np.array_equal(getattr(alone, field), getattr(entry, field),
+                                      equal_nan=field == "deficits"), (name, field)
+            assert alone.sources == entry.sources
 
 
 class TestBuildController:

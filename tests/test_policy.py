@@ -9,15 +9,17 @@ import pytest
 from orchardrl.agent.policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
+    PolicyStack,
     SquashedGaussianPolicy,
     load_policy,
 )
-from orchardrl.env import NormalizationStats
+from orchardrl.env import N_MONTHS, NormalizationStats
 from orchardrl.software import software_environment
 
 from conftest import log_prob_at
 
-OBS_DIM = 6
+OBS_DIM = 14
+N_CONTINUOUS = OBS_DIM - N_MONTHS   # the month one-hot columns stay raw
 A_MAX = 0.54
 
 
@@ -32,7 +34,8 @@ def small_policy(n_regions=1, seed=0, zero_mean=False, hidden=(8, 8)):
 
 def with_stats(policy):
     """Attach normalization statistics, which every snapshot carries."""
-    policy.norm_stats = NormalizationStats(mean=np.zeros(2), std=np.ones(2))
+    policy.norm_stats = NormalizationStats(mean=np.zeros(N_CONTINUOUS),
+                                           std=np.ones(N_CONTINUOUS))
     return policy
 
 
@@ -82,6 +85,52 @@ class TestMeanAction:
         policy.net.weights[0][:] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             policy.mean_action(np.zeros(OBS_DIM))
+
+
+class TestPolicyStack:
+    @staticmethod
+    def deployed_policy(n_regions, hidden, seed):
+        """A policy with a live output layer and its own a_max and
+        normalization statistics, at the environment's observation width."""
+        rng = np.random.default_rng(seed)
+        policy = SquashedGaussianPolicy(n_regions + 24, n_regions,
+                                        a_max=rng.uniform(0.3, 3.0),
+                                        hidden=hidden, seed=seed)
+        policy.net.weights[-1][:] *= 100.0
+        policy.net.biases[-1][:] = rng.normal(size=n_regions)
+        n = policy.obs_dim - N_MONTHS
+        policy.norm_stats = NormalizationStats(mean=rng.uniform(0.0, 5.0, n),
+                                               std=rng.uniform(0.2, 3.0, n))
+        return policy
+
+    @pytest.mark.parametrize("hidden", [(8,), (64, 64), (256, 256)])
+    @pytest.mark.parametrize("n_regions", [2, 3, 16])
+    def test_stacked_pass_is_each_policys_mean_action(self, hidden, n_regions):
+        policies = [self.deployed_policy(n_regions, hidden, seed)
+                    for seed in range(3)]
+        stack = PolicyStack(policies)
+        rng = np.random.default_rng(n_regions)
+        for _ in range(5):
+            rows = rng.uniform(0.0, 8.0, size=(3, n_regions + 24))
+            actions = stack.mean_actions(rows)
+            assert actions.shape == (3, n_regions)
+            for policy, row, action in zip(policies, rows, actions):
+                normalized = policy.norm_stats.apply(row)
+                assert np.array_equal(action, policy.mean_action(normalized))
+                # the training forward of a lone row gives the same bits
+                m, _ = policy.forward_mean(normalized)
+                assert np.array_equal(action, policy.squash(m[0]))
+            # a batch through mean_action is its rows one by one
+            policy = policies[0]
+            batch = policy.norm_stats.apply(rows)
+            assert np.array_equal(policy.mean_action(batch),
+                                  [policy.mean_action(r) for r in batch])
+
+    def test_non_finite_output_flagged(self):
+        policies = [self.deployed_policy(2, (8,), seed) for seed in range(2)]
+        policies[1].net.biases[0][:] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            PolicyStack(policies).mean_actions(np.zeros((2, 26)))
 
 
 class TestSampling:
@@ -228,8 +277,8 @@ class TestParameters:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         policy = small_policy(n_regions=2, seed=14)
-        policy.norm_stats = NormalizationStats(mean=np.arange(4.0),
-                                               std=np.ones(4) * 2.0)
+        policy.norm_stats = NormalizationStats(mean=np.arange(float(N_CONTINUOUS)),
+                                               std=np.ones(N_CONTINUOUS) * 2.0)
         policy.config_hash = "abc123"
         path = tmp_path / "policy.npz"
         policy.save(path)
@@ -290,6 +339,24 @@ class TestPersistence:
         message = str(err.value)
         assert str(path) in message and key in message
         assert str(expected) in message and str(arrays[key].shape) in message
+
+    @pytest.mark.parametrize("key", ["norm_mean", "norm_std"])
+    def test_norm_stats_must_cover_the_continuous_columns(self, tmp_path, key):
+        # 2 regions: 26 inputs, of which all but the 12 month columns are
+        # normalized; a snapshot normalizing 5 of the 14 is rejected
+        policy = SquashedGaussianPolicy(26, 2, A_MAX, hidden=(4,), seed=0)
+        policy.norm_stats = NormalizationStats(mean=np.zeros(14), std=np.ones(14))
+        path = tmp_path / "p.npz"
+        policy.save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[key] = arrays[key][:5]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_policy(path)
+        message = str(err.value)
+        assert str(path) in message and key in message
+        assert "(5,)" in message and "(14,)" in message
 
     def test_snapshot_without_norm_stats_rejected(self, tmp_path):
         path = tmp_path / "p.npz"
