@@ -5,7 +5,9 @@ fan-in scale and the final layer starts near zero so downstream squashing
 lands mid-range.  The layers' weights and biases are views of one flat
 parameter vector (W0, b0, W1, b1, ...) owned by the caller, and the backward
 pass writes its gradients into a flat vector with the same layout, so an
-optimizer steps every parameter with one vectorized update.  Correctness is
+optimizer steps every parameter with one vectorized update.  Over a stack
+of k such vectors, forward runs k networks in one pass; it is the one
+forward of training and of lone and stacked deployment.  Correctness is
 validated against finite differences in the test suite.
 """
 
@@ -18,7 +20,8 @@ import numpy as np
 
 class Mlp:
     """Fully connected network: sizes = (n_in, hidden..., n_out), its
-    parameters the views of a flat vector of length parameter_count(sizes).
+    parameters the views of a flat vector of length parameter_count(sizes)
+    or of a (k, that length) stack of k networks' vectors.
 
     Construction only lays the layers over the vector; initialize draws
     their starting values, and a network rebuilt from stored values skips it.
@@ -51,23 +54,31 @@ class Mlp:
 
     def layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a flat vector laid out like
-        the parameters."""
-        if flat.shape != (self.parameter_count(self.sizes),):
+        the parameters, or (k, n_in, n_out) and (k, 1, n_out) ones of a stack."""
+        if flat.ndim not in (1, 2) or flat.shape[-1] != self.parameter_count(self.sizes):
             raise ValueError(f"flat vector of shape {flat.shape} does not fit "
                              f"layer sizes {self.sizes}")
+        stack = flat.shape[:-1]
         weights: list[np.ndarray] = []
         biases: list[np.ndarray] = []
         offset = 0
         for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
-            weights.append(flat[offset:offset + n_in * n_out].reshape(n_in, n_out))
+            weights.append(flat[..., offset:offset + n_in * n_out]
+                           .reshape(*stack, n_in, n_out))
             offset += n_in * n_out
-            biases.append(flat[offset:offset + n_out])
+            b = flat[..., offset:offset + n_out]
+            biases.append(b[:, None] if stack else b)
             offset += n_out
         return weights, biases
 
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Forward pass over a (rows, n_in) batch; returns output and the
-        per-layer activations needed by backward (input first, output last)."""
+        """Forward pass over a (rows, n_in) batch, or a (k, rows, n_in) one
+        through a stack (slice j through network j); returns output and the
+        per-layer activations needed by backward (input first, output last).
+        numpy runs every one-row slice of a layer's matmul as the product it
+        runs for a lone row, so a row has the same bits alone or stacked."""
+        if X.shape[-1] != self.sizes[0]:
+            raise ValueError(f"observation dimension {X.shape[-1]} != {self.sizes[0]}")
         activations = [X]
         h = X
         last = len(self.weights) - 1
@@ -79,6 +90,8 @@ class Mlp:
             if i != last:
                 np.tanh(h, out=h)
             activations.append(h)
+        if not np.isfinite(h).all():
+            raise ValueError("non-finite network output (diverged parameters?)")
         return h, activations
 
     def backward(self, activations: list[np.ndarray], grad_out: np.ndarray,

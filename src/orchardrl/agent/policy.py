@@ -7,9 +7,9 @@ the log-std are views of it, in the order W0, b0, W1, b1, ..., log_std, so
 the optimizer takes one step over all of them.  Samples map to
 valid irrigation depths through an affine tanh squash onto [0, a_max], and
 log-probabilities carry the corresponding change-of-variables correction.
-Deployment acts on the network mean, and deploy_rows computes it for one
-row of each of k stacked policies in one pass (mean_action is its
-one-policy case).  Snapshots persist to a versioned .npz with the
+Deployment acts on the network mean, for one policy (mean_action) or one
+row of each of k stacked policies (PolicyStack), through the same
+Mlp.forward as training.  Snapshots persist to a versioned .npz with the
 normalization statistics, a config hash and the software environment
 embedded.
 """
@@ -41,43 +41,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 def _log1m_tanh_sq(u: np.ndarray) -> np.ndarray:
     # log(1 - tanh(u)^2) without catastrophic cancellation at large |u|
     return math.log(4.0) - 2.0 * u - 2.0 * _softplus(-2.0 * u)
-
-
-def deploy_rows(rows: np.ndarray, weights, biases, half_a_max,
-                norm: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """squash(net(normalize(row))) for k policies of one architecture, one
-    observation row each, in one pass.
-
-    rows is (k, obs_dim).  weights[i] and biases[i] are layer i of the k
-    networks stacked as (k, n_in, n_out) and (k, 1, n_out), or one
-    network's own (n_in, n_out) and (n_out,) arrays, which every row then
-    shares.  half_a_max is a_max / 2 (the squash's arithmetic), a scalar or
-    one per policy as (k, 1); norm, if given, is the (k, n) means and
-    standard deviations of each row's first n columns.  Each layer is one
-    matmul over the slices, and numpy computes every one-row slice with the
-    vector-matrix product it uses for a lone row, so row j's action is bit
-    for bit policy j's mean_action of its normalized row.  Stacking the
-    rows into one (k, obs_dim) matrix instead would run a matrix product
-    and change the last bits.
-    """
-    h = np.array(rows, dtype=float)[:, None, :]
-    if h.shape[2] != weights[0].shape[-2]:
-        raise ValueError(f"observation dimension {h.shape[2]} != "
-                         f"{weights[0].shape[-2]}")
-    if norm is not None:
-        mean, std = norm
-        span = h[:, 0, :mean.shape[1]]
-        span -= mean
-        span /= std
-    last = len(weights) - 1
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        h = np.matmul(h, W)
-        h += b
-        if i != last:
-            np.tanh(h, out=h)
-    if not np.isfinite(h).all():
-        raise ValueError("non-finite network output (diverged parameters?)")
-    return half_a_max * (np.tanh(h[:, 0]) + 1.0)
 
 
 class SquashedGaussianPolicy:
@@ -141,23 +104,13 @@ class SquashedGaussianPolicy:
 
     def forward_mean(self, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Batched pre-squash means plus the backprop cache."""
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        if obs.shape[1] != self.obs_dim:
-            raise ValueError(f"observation dimension {obs.shape[1]} != {self.obs_dim}")
-        m, cache = self.net.forward(obs)
-        if not np.isfinite(m).all():
-            raise ValueError("non-finite network output (diverged parameters?)")
-        return m, cache
+        return self.net.forward(np.atleast_2d(np.asarray(obs, dtype=float)))
 
     def mean_action(self, obs: np.ndarray) -> np.ndarray:
-        """Deterministic deployment action for a normalized observation row,
-        or one per row of a (B, obs_dim) batch: the squashed network mean,
-        computed by deploy_rows over the policy's own layers, so each row
-        alone gives the same bits as in any batch."""
-        obs = np.asarray(obs, dtype=float)
-        actions = deploy_rows(np.atleast_2d(obs), self.net.weights,
-                              self.net.biases, self.a_max * 0.5)
-        return actions[0] if obs.ndim == 1 else actions
+        """Deterministic deployment action for one normalized observation
+        row: the squashed network mean, as a one-slice stack."""
+        m, _ = self.net.forward(np.asarray(obs, dtype=float)[None, None])
+        return self.squash(m[0, 0])
 
     def squash_log_jacobian(self, u: np.ndarray) -> np.ndarray:
         """Elementwise log of the squash's derivative at pre-squash samples
@@ -215,24 +168,26 @@ class SquashedGaussianPolicy:
 
 
 class PolicyStack:
-    """Policies of one network architecture and one normalization layout,
-    deployed together.  Their layers are stacked once, a copy, so one
-    deploy_rows call decides a raw observation row for each of them."""
+    """Policies of one network architecture, deployed together: one Mlp
+    over a copy of their stacked parameters, so one mean_actions call
+    decides a raw observation row for each of them."""
 
     def __init__(self, policies: list[SquashedGaussianPolicy]):
-        self.weights = [np.stack(layer)
-                        for layer in zip(*(p.net.weights for p in policies))]
-        self.biases = [np.stack(layer)[:, None]
-                       for layer in zip(*(p.net.biases for p in policies))]
+        self.net = Mlp(policies[0].net.sizes,
+                       np.stack([p.params[:-p.n_regions] for p in policies]))
+        # numpy adds a strided (k, 1, n) bias view through its general loop,
+        # about a microsecond slower per layer than a contiguous copy
+        self.net.biases = [b.copy() for b in self.net.biases]
+        self.norm_stats = NormalizationStats(
+            mean=np.stack([p.norm_stats.mean for p in policies]),
+            std=np.stack([p.norm_stats.std for p in policies]))
         self.half_a_max = np.array([[p.a_max * 0.5] for p in policies])
-        self.norm = (np.stack([p.norm_stats.mean for p in policies]),
-                     np.stack([p.norm_stats.std for p in policies]))
 
     def mean_actions(self, rows: np.ndarray) -> np.ndarray:
         """(k, n_regions) deployment actions: row j of rows, normalized
-        with policy j's statistics, through policy j's mean_action."""
-        return deploy_rows(rows, self.weights, self.biases, self.half_a_max,
-                           self.norm)
+        with policy j's statistics, bit for bit policy j's mean_action."""
+        m, _ = self.net.forward(self.norm_stats.apply(rows)[:, None])
+        return self.half_a_max * (np.tanh(m[:, 0]) + 1.0)
 
 
 def load_policy(path) -> SquashedGaussianPolicy:

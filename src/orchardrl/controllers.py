@@ -7,11 +7,11 @@ whole row, and the shield the soil-water and forecast columns.  All
 controllers are pure functions of that row (plus their frozen config or
 policy), so replaying a logged season reproduces every decision.
 decide(obs) returns the per-region depths; a season roster decides its RL
-controllers' policies together, in one stacked pass with the same bits as
-RlController.decide.  Each controller class carries a fixed source tag
-(agent, et_baseline, sensor_baseline), and a shielded controller's days the
-shield took over read shield_fallback, so season logs can attribute every
-drop of water.
+controllers' policies together, in one stacked pass through the network
+forward RlController.decide runs, with the same bits.  Each controller
+class carries a fixed source tag (agent, et_baseline, sensor_baseline), and
+a shielded controller's days the shield took over read shield_fallback, so
+season logs can attribute every drop of water.
 """
 
 from __future__ import annotations

@@ -179,21 +179,23 @@ class NormalizationStats:
 
     Applies only to the first n_continuous components (soil water, weather,
     forecasts); the month one-hot passes through untouched.  Components with
-    (near-)zero variance are centered but not scaled.
+    (near-)zero variance are centered but not scaled.  A (k, n) mean and std
+    hold k policies' statistics, and apply then normalizes a (k, obs_dim)
+    block row j by statistics j.
     """
 
     mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise ValueError("mean and std must be 1-D arrays of equal length")
+        if self.mean.shape != self.std.shape or self.mean.ndim not in (1, 2):
+            raise ValueError("mean and std must be 1-D or 2-D of equal shape")
         if np.any(self.std <= 0):
             raise ValueError("std entries must be positive (use 1.0 for frozen components)")
 
     @property
     def n_continuous(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @classmethod
     def from_samples(cls, vectors: np.ndarray, n_continuous: int,

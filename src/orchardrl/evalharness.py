@@ -7,11 +7,12 @@ construction, and water and stress metrics differ only through the
 decisions.  Each day every controller decides on its own episode's
 observation row: the baselines through their decide, the RL controllers'
 distinct policies in one stacked pass per architecture (agent.policy's
-PolicyStack, bit for bit each policy's own mean_action), and a controller
-sharing an earlier one's policy by copying its proposal while their rows
-are bitwise equal.  Then one shield call screens the rows of every shielded
-controller.  Results persist as a daily CSV, a summary CSV, and a JSON
-manifest carrying the config fingerprint.
+PolicyStack, through the Mlp.forward that training and a lone mean_action
+run, bit for bit that mean_action), and a controller sharing an earlier
+one's policy by copying its proposal while their rows are bitwise equal.
+Then one shield call screens the rows of every shielded controller.
+Results persist as a daily CSV, a summary CSV, and a JSON manifest carrying
+the config fingerprint.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     screened = np.flatnonzero([isinstance(c, ShieldedController) for c in ctls])
     inner = [c.inner if isinstance(c, ShieldedController) else c for c in ctls]
     # the first controller of each RL policy leads it; the leads' policies
-    # decide in one stacked pass per architecture and normalization layout
+    # decide in one stacked pass per architecture
     leads: dict[int, int] = {}
     twins = []
     for e, c in enumerate(inner):
@@ -146,9 +147,7 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
                 twins.append((e, lead))
     stacked: dict[tuple, list[int]] = {}
     for e in leads.values():
-        policy = inner[e].policy
-        stacked.setdefault((policy.net.sizes, policy.norm_stats.n_continuous),
-                           []).append(e)
+        stacked.setdefault(inner[e].policy.net.sizes, []).append(e)
     stacks = [(np.array(rows), PolicyStack([inner[e].policy for e in rows]))
               for rows in stacked.values()]
     alone = [(e, c.decide) for e, c in enumerate(inner)
@@ -260,32 +259,28 @@ def _daily_blocks(entries: dict[str, ControllerResult]):
 
     The water, action and soil floats of the whole file are formatted once
     per distinct float64 bit pattern (bits, not values, so -0.0 and 0.0
-    keep their own reprs), into one table of strings that every
-    controller's rows index in turn; each date is formatted once.  The
-    patterns are found per controller first and then merged, which keeps
-    the sort's temporaries a controller's size.
+    keep their own reprs), into one table of strings that all rows index;
+    each date is formatted once.
     """
-    local = [np.unique(np.column_stack([e.daily_water, e.actions, e.soil])
-                       .view(np.int64), return_inverse=True)
-             for e in entries.values()]
-    distinct, where = np.unique(np.concatenate([u for u, _ in local]),
-                                return_inverse=True)
+    blocks = np.concatenate([np.column_stack([e.daily_water, e.actions, e.soil])
+                             for e in entries.values()])
+    distinct, inverse = np.unique(blocks.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
                     dtype=object)
+    # zip takes a date before a row, so each controller's rows stop at its
+    # last date and the next controller's rows start where they stopped
+    table = iter(text[inverse.reshape(blocks.shape)].tolist())
     iso = dict.fromkeys(d for e in entries.values() for d in e.dates)
     for date in iso:
         iso[date] = date.isoformat()
-    start = 0
-    for (name, entry), (patterns, inverse) in zip(entries.items(), local):
-        rows = text[where[start:start + len(patterns)]][inverse].tolist()
-        start += len(patterns)
+    for name, entry in entries.items():
         name = _csv_field(name)
         yield "".join([
             f"{name},{day},{iso[date]},{','.join(row)},"
             f"{'' if deficit != deficit else repr(deficit)},{int(trig)},"
             f"{_csv_field(source)}{_CSV_EOL}"
             for day, (date, row, deficit, trig, source) in enumerate(zip(
-                entry.dates, rows, entry.deficits.tolist(),
+                entry.dates, table, entry.deficits.tolist(),
                 entry.triggered.tolist(), entry.sources))])
 
 

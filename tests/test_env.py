@@ -418,6 +418,29 @@ class TestNormalization:
         with pytest.raises(ValueError):
             NormalizationStats(mean=np.zeros(2), std=np.array([1.0, 0.0]))
 
+    def test_stacked_stats_apply_row_by_row(self):
+        rng = np.random.default_rng(3)
+        singles = [NormalizationStats(mean=rng.uniform(0.0, 5.0, 4),
+                                      std=rng.uniform(0.2, 3.0, 4))
+                   for _ in range(3)]
+        stacked = NormalizationStats(mean=np.stack([s.mean for s in singles]),
+                                     std=np.stack([s.std for s in singles]))
+        assert stacked.n_continuous == 4
+        rows = rng.uniform(0.0, 8.0, size=(3, 6))
+        out = stacked.apply(rows)
+        for stats, row, normalized in zip(singles, rows, out):
+            assert np.array_equal(normalized, stats.apply(row))
+
+    def test_stacked_shapes_checked(self):
+        with pytest.raises(ValueError, match="equal shape"):
+            NormalizationStats(mean=np.zeros((2, 4)), std=np.ones((3, 4)))
+        with pytest.raises(ValueError, match="equal shape"):
+            NormalizationStats(mean=np.zeros((2, 2, 4)), std=np.ones((2, 2, 4)))
+        stacked = NormalizationStats(mean=np.zeros((2, 4)), std=np.ones((2, 4)))
+        for rows in (np.zeros((3, 6)), np.zeros((1, 6)), np.zeros(6)):
+            with pytest.raises(ValueError):
+                stacked.apply(rows)
+
 
 def reference_reward(v_next, a, levels, params):
     """The three-branch reward, one region at a time."""

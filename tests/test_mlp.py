@@ -98,6 +98,64 @@ class TestForward:
         with pytest.raises(ValueError):
             make_net((3, 0, 2))
 
+    def test_input_width_checked(self):
+        net = make_net((3, 5, 2), seed=0)
+        with pytest.raises(ValueError, match="observation dimension 4 != 3"):
+            net.forward(np.zeros((1, 4)))
+
+    def test_non_finite_output_flagged(self):
+        net = make_net((3, 5, 2), seed=0)
+        net.biases[0][:] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            net.forward(np.zeros((1, 3)))
+
+
+class TestStack:
+    """k networks of one architecture as one Mlp over a (k, P) stack."""
+
+    SIZES = (6, 32, 32, 3)
+
+    @classmethod
+    def nets_and_stack(cls, k=3):
+        params = [np.empty(Mlp.parameter_count(cls.SIZES)) for _ in range(k)]
+        nets = [make_net(cls.SIZES, seed=j, params=p) for j, p in enumerate(params)]
+        for j, net in enumerate(nets):
+            # live output layers and biases, so every layer shapes the output
+            rng = np.random.default_rng(j)
+            net.weights[-1][:] *= 100.0
+            for b in net.biases:
+                b[:] = rng.normal(size=b.shape)
+        return nets, Mlp(cls.SIZES, np.stack(params))
+
+    def test_slices_are_each_networks_layers(self):
+        nets, stack = self.nets_and_stack()
+        for i, (W, b) in enumerate(zip(stack.weights, stack.biases)):
+            n_in, n_out = self.SIZES[i], self.SIZES[i + 1]
+            assert W.shape == (3, n_in, n_out) and b.shape == (3, 1, n_out)
+            for j, net in enumerate(nets):
+                assert np.array_equal(W[j], net.weights[i])
+                assert np.array_equal(b[j, 0], net.biases[i])
+
+    def test_stacked_forward_is_each_networks_lone_row(self):
+        nets, stack = self.nets_and_stack()
+        X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(3, 1, 6))
+        out, acts = stack.forward(X)
+        assert out.shape == (3, 1, 3) and len(acts) == 4
+        for j, net in enumerate(nets):
+            assert np.array_equal(out[j], net.forward(X[j])[0])
+
+    def test_stacked_forward_checks(self):
+        nets, stack = self.nets_and_stack()
+        with pytest.raises(ValueError, match="observation dimension 5 != 6"):
+            stack.forward(np.zeros((3, 1, 5)))
+        stack.biases[-1][1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            stack.forward(np.zeros((3, 1, 6)))
+
+    def test_stack_width_checked(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            Mlp(self.SIZES, np.zeros((3, Mlp.parameter_count(self.SIZES) - 1)))
+
 
 def per_array_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Reference: the elementwise Adam formula applied array by array, as a

@@ -120,11 +120,6 @@ class TestPolicyStack:
                 # the training forward of a lone row gives the same bits
                 m, _ = policy.forward_mean(normalized)
                 assert np.array_equal(action, policy.squash(m[0]))
-            # a batch through mean_action is its rows one by one
-            policy = policies[0]
-            batch = policy.norm_stats.apply(rows)
-            assert np.array_equal(policy.mean_action(batch),
-                                  [policy.mean_action(r) for r in batch])
 
     def test_non_finite_output_flagged(self):
         policies = [self.deployed_policy(2, (8,), seed) for seed in range(2)]
