@@ -2,16 +2,19 @@
 
 Every controller reads one row of the environment's observation layout
 (see env.OBS_EXTRA): the ET baseline reads the day's ET and precipitation
-columns, the sensor baseline the soil-water columns, the RL controller the
-whole row, and the shield the soil-water and forecast columns.  All
-controllers are pure functions of that row (plus their frozen config or
-policy), so replaying a logged season reproduces every decision.
-decide(obs) returns the per-region depths; a season roster decides its RL
-controllers' policies together, in one stacked pass through the network
-forward RlController.decide runs, with the same bits.  Each controller
-class carries a fixed source tag (agent, et_baseline, sensor_baseline), and
-a shielded controller's days the shield took over read shield_fallback, so
-season logs can attribute every drop of water.
+columns, the sensor baseline the soil-water columns and the RL controller
+the whole row.  All controllers are pure functions of that row (plus their
+frozen config or policy), so replaying a logged season reproduces every
+decision.  decide(obs) returns the per-region depths.  A season roster asks
+the ET baseline for one dose per season day (dose, which its decide
+applies to every region) and the shield's fallback doses from the same
+series, since both read only the weather.  It decides its RL controllers'
+policies together, in one stacked pass through the network forward
+RlController.decide runs, with the same bits, and screens shielded
+proposals on soil rows (safety.screen_rows).  Each controller class carries
+a fixed source tag (agent, et_baseline, sensor_baseline), and a shielded
+controller's days the shield took over read shield_fallback, so season
+logs can attribute every drop of water.
 """
 
 from __future__ import annotations
@@ -43,9 +46,13 @@ class EtController:
         self.n_regions = n_regions
         self.a_max = a_max
 
+    def dose(self, et: float, precip: float) -> float:
+        """The depth for one completed day's ET and precipitation."""
+        return min(self.a_max, max(0.0, et - precip))
+
     def decide(self, obs: np.ndarray) -> np.ndarray:
-        loss = channel(obs, OBS_ET) - channel(obs, OBS_PRECIP)
-        return np.full(self.n_regions, min(self.a_max, max(0.0, loss)))
+        return np.full(self.n_regions, self.dose(channel(obs, OBS_ET),
+                                                 channel(obs, OBS_PRECIP)))
 
 
 @dataclass(frozen=True)
@@ -139,10 +146,10 @@ class ShieldedController:
     """A controller whose every proposal the run's shield screens.
 
     It has no decide of its own: the season runner asks inner for the day's
-    proposal and screens every shielded episode's row in one
-    safety.screen_rows call, with the run's shield and the ET baseline as
-    fallback.  With enabled False the proposal always executes and only the
-    shield's counterfactual deficit is recorded.  source is inner's tag; the
+    proposal and screens every shielded controller's soil row in one
+    safety.screen_rows call, with the run's shield and the ET baseline's
+    dose of the day as fallback.  With enabled False the proposal always
+    executes and only the shield's counterfactual deficit is recorded.  source is inner's tag; the
     days the shield took over read shield_fallback instead.
     """
 

@@ -3,10 +3,12 @@
 IrrigationEnv steps E episodes in lockstep as (E, n_regions) arrays.  Its
 observations are rows of one documented layout (see OBS_EXTRA below): each
 region's soil water, the day's completed weather and the next-day forecast
-channels, and the month one-hot.  Every controller, the shield and the
-policy read those rows.  Actions are per-region irrigation depths in
-[0, a_max] inches; dynamics advance each region through its own linear
-water-balance model with optional Gaussian process noise.  Stepping returns
+channels, and the month one-hot.  The policy and the decide(obs) baselines
+read those rows.  Actions are per-region irrigation depths in [0, a_max]
+inches.  water_balance advances soil water one day: each region through its
+own linear water-balance model with optional Gaussian process noise.  It is
+the one plant step, shared by IrrigationEnv.step and the season roster,
+which advances its (E, n) soil block through it directly.  Stepping returns
 observations only; reward() scores a step from the next-day soil water and
 the applied depths, penalizing over-irrigation, water use, and
 stress-threshold violations, and only the trainer calls it.
@@ -29,7 +31,7 @@ starts on its first day.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,19 +136,24 @@ class PlantParams:
 @dataclass(frozen=True)
 class EnvConfig:
     """Static description of the simulated orchard and its control problem:
-    one dynamics model per region."""
+    one dynamics model per region.  coef is the models' coefficient table,
+    built once here."""
 
     levels: SoilLevels
     dynamics: tuple[PredictorModel, ...]
     episode_length: int
     reward: RewardParams
     plant: PlantParams
+    coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.dynamics:
             raise ValueError("need at least one region's dynamics")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
+        coef = coefficient_table(self.dynamics)
+        coef.flags.writeable = False
+        object.__setattr__(self, "coef", coef)
 
     @property
     def saturation_cap(self) -> float:
@@ -217,6 +224,43 @@ class NormalizationStats:
         return out
 
 
+def weather_columns(weather: WeatherTable) -> np.ndarray:
+    """The OBS_EXTRA columns of every record's observation rows: its weather
+    and forecast channels, then its month one-hot."""
+    month_index = weather.dates.astype("datetime64[M]").astype(int) % N_MONTHS
+    return np.hstack([weather.values, np.eye(N_MONTHS)[month_index]])
+
+
+def water_balance(config: EnvConfig, v: np.ndarray, actions, precip, et,
+                  noise) -> tuple[np.ndarray, np.ndarray]:
+    """One day of the plant: the next (E, n_regions) soil water from v under
+    (E, n_regions) depths, and the depths as applied.
+
+    precip and et are the day's actual precipitation and ET, and noise its
+    process-noise draws (read only when the plant is noisy); each
+    broadcasts against v.  A depth outside [0, a_max] by more than 1e-9, or
+    not finite, is rejected; the rest are clipped into [0, a_max].  Each
+    region then advances through predict_next_array under its own dynamics,
+    capped at the saturation cap; a noisy plant adds the noise and clips to
+    [0, cap] again.
+    """
+    plant = config.plant
+    a = np.asarray(actions, dtype=float)
+    if a.shape != v.shape:
+        raise ValueError(f"actions must have shape {v.shape}")
+    lo, hi = -1e-9, plant.a_max + 1e-9
+    # NaN fails both comparisons, so it is rejected like an out-of-range value
+    if not (a.min() >= lo and a.max() <= hi):
+        bad = a[~((a >= lo) & (a <= hi))][0]
+        raise ValueError(f"action {float(bad)!r} outside [0, {plant.a_max}]")
+    a = a.clip(0.0, plant.a_max)
+    cap = config.saturation_cap
+    v_next = predict_next_array(config.coef, v, a, precip, et, cap=cap)
+    if plant.process_noise_std > 0:
+        v_next = np.clip(v_next + noise, 0.0, cap)
+    return v_next, a
+
+
 class IrrigationEnv:
     """E episodes over an immutable weather sequence, stepped in lockstep as
     (E, n_regions) arrays.
@@ -225,8 +269,8 @@ class IrrigationEnv:
     default_rng(seed) in this order, its start record, its initial soil
     water and its whole (episode_length, n_regions) process-noise block.
     Episodes given the same seed therefore share start, soil water and
-    noise, and differ only through their actions; those draws are made once
-    per distinct seed and copied into each such episode's rows.
+    noise, and differ only through their actions.  initial_v and
+    process_noise are the last reset's draws, read-only.
     """
 
     def __init__(self, config: EnvConfig, weather: WeatherTable):
@@ -246,17 +290,25 @@ class IrrigationEnv:
                 f"no {L + 1} consecutive daily weather records (episode_length "
                 f"+ 1) in a record of {len(weather)}")
         self.config = config
-        self._coef = coefficient_table(config.dynamics)
-        month_index = weather.dates.astype("datetime64[M]").astype(int) % N_MONTHS
         # the observation row's weather and calendar columns for every record
-        self._weather_obs = np.hstack([weather.values,
-                                       np.eye(N_MONTHS)[month_index]])
+        self._weather_obs = weather_columns(weather)
         self._et = self._weather_obs[:, OBS_ET]
         self._precip = self._weather_obs[:, OBS_PRECIP]
-        self._starts = self._noise = None
+        self._starts = self._initial_v = self._noise = None
         self.v: np.ndarray | None = None    # (E, n_regions) soil water
         self.a: np.ndarray | None = None    # (E, n_regions) depths last applied
         self._day = 0
+
+    @property
+    def initial_v(self) -> np.ndarray | None:
+        """The (E, n_regions) soil water the last reset drew, read-only."""
+        return self._initial_v
+
+    @property
+    def process_noise(self) -> np.ndarray | None:
+        """The (episode_length, E, n_regions) process noise the last reset
+        drew (zeros for a noise-free plant), read-only."""
+        return self._noise
 
     def reset(self, seeds) -> np.ndarray:
         """Start one episode per seed; returns the (E, obs_dim) observations
@@ -266,54 +318,39 @@ class IrrigationEnv:
         noise_std = cfg.plant.process_noise_std
         allowed = self._allowed_starts
         lv = cfg.levels
-        # one set of draws per distinct seed, copied to each of its episodes
-        distinct, episode_seed = np.unique(np.asarray(seeds), return_inverse=True)
-        K = len(distinct)
-        starts = np.zeros(K, dtype=int)
-        v = np.empty((K, n))
-        noise = np.zeros((L, K, n))
-        for k, seed in enumerate(distinct.tolist()):
+        seeds = np.asarray(seeds).tolist()
+        starts = np.zeros(len(seeds), dtype=int)
+        v = np.empty((len(seeds), n))
+        noise = np.zeros((L, len(seeds), n))
+        for e, seed in enumerate(seeds):
             rng = np.random.default_rng(int(seed))
-            starts[k] = allowed[rng.integers(0, len(allowed))]
-            v[k] = rng.uniform(lv.v_mad, lv.v_fc, size=n)
+            starts[e] = allowed[rng.integers(0, len(allowed))]
+            v[e] = rng.uniform(lv.v_mad, lv.v_fc, size=n)
             if noise_std > 0:
-                noise[:, k] = rng.normal(0.0, noise_std, size=(L, n))
-        self._starts = starts[episode_seed]
-        self.v = v[episode_seed]
-        self._noise = noise[:, episode_seed]
+                noise[:, e] = rng.normal(0.0, noise_std, size=(L, n))
+        v.flags.writeable = noise.flags.writeable = False
+        self._starts, self._initial_v, self._noise = starts, v, noise
+        self.v = v.copy()
         self.a = None
         self._day = 0
         return self._observations()
 
     def step(self, actions: np.ndarray) -> np.ndarray:
-        """Advance every episode one day under (E, n_regions) depths; returns
-        the next (E, obs_dim) observations.
+        """Advance every episode one day under (E, n_regions) depths through
+        water_balance; returns the next (E, obs_dim) observations.
 
         step scores nothing: a caller that wants the day's rewards computes
         reward(env.v, env.a, config.levels, config.reward) from the
         next-day soil water and the depths as applied (after clipping)."""
-        cfg, plant = self.config, self.config.plant
         if self.v is None:
             raise RuntimeError("reset() must be called before step()")
-        if self._day >= cfg.episode_length:
+        if self._day >= self.config.episode_length:
             raise RuntimeError("episodes exhausted; call reset()")
-        a = np.asarray(actions, dtype=float)
-        if a.shape != self.v.shape:
-            raise ValueError(f"actions must have shape {self.v.shape}")
-        lo, hi = -1e-9, plant.a_max + 1e-9
-        # NaN fails both comparisons, so it is rejected like an out-of-range value
-        if not (a.min() >= lo and a.max() <= hi):
-            bad = a[~((a >= lo) & (a <= hi))][0]
-            raise ValueError(f"action {float(bad)!r} outside [0, {plant.a_max}]")
-        a = np.clip(a, 0.0, plant.a_max)
-
         nxt = self._starts + self._day + 1
-        cap = cfg.saturation_cap
-        v_next = predict_next_array(self._coef, self.v, a, self._precip[nxt, None],
-                                    self._et[nxt, None], cap=cap)
-        if plant.process_noise_std > 0:
-            v_next = np.clip(v_next + self._noise[self._day], 0.0, cap)
-        self.v, self.a = v_next, a
+        self.v, self.a = water_balance(self.config, self.v, actions,
+                                       self._precip[nxt, None],
+                                       self._et[nxt, None],
+                                       self._noise[self._day])
         self._day += 1
         return self._observations()
 

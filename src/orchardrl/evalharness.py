@@ -1,18 +1,23 @@
 """Season-long experiment runner: paired controller comparisons and metrics.
 
-A roster runs as one lockstep batch: one IrrigationEnv episode per
-controller, every episode reset with the run's seed.  So every controller
-faces the same weather, initial soil state and process-noise stream by
-construction, and water and stress metrics differ only through the
-decisions.  Each day every controller decides on its own episode's
-observation row: the baselines through their decide, the RL controllers'
-distinct policies in one stacked pass per architecture (agent.policy's
+A roster runs one paired season: one episode's weather, start, initial soil
+water and process noise (one IrrigationEnv reset with the run's seed),
+shared by every controller, so water and stress metrics differ only through
+the decisions.  The season's weather-only inputs are read once: the
+observation rows' weather columns, the ET baseline's daily dose (also the
+shield's fallback), the forecast the shield screens against, and the next
+day's actual precipitation and ET that drive the plant.  Each day runs on
+the (E, n) block of soil water, one row per controller.  Observation rows
+are built only for the controllers that read them: the RL controllers'
+distinct policies decide in one stacked pass per architecture (agent.policy's
 PolicyStack, through the Mlp.forward that training and a lone mean_action
-run, bit for bit that mean_action), and a controller sharing an earlier
-one's policy by copying its proposal while their rows are bitwise equal.
-Then one shield call screens the rows of every shielded controller.
-Results persist as a daily CSV, a summary CSV, and a JSON manifest carrying
-the config fingerprint.
+run, bit for bit that mean_action), the other decide(obs) baselines on
+their own rows, and a controller sharing an earlier one's policy copies its
+proposal while their soil rows are bitwise equal.  One shield call screens
+the soil rows of every shielded controller, and env.water_balance, the step
+IrrigationEnv.step runs, advances the whole block.  Results persist as a
+daily CSV, a summary CSV, and a JSON manifest carrying the config
+fingerprint.
 """
 
 from __future__ import annotations
@@ -35,7 +40,16 @@ from .controllers import (
     SensorController,
     ShieldedController,
 )
-from .env import IrrigationEnv
+from .env import (
+    OBS_ET,
+    OBS_EXTRA,
+    OBS_FORECAST_PRECIP_NEXT,
+    OBS_PRECIP,
+    OBS_PREDICTED_ET_NEXT,
+    IrrigationEnv,
+    water_balance,
+    weather_columns,
+)
 from .hydrology import SoilLevels
 from .runconfig import (
     RunConfig,
@@ -115,24 +129,50 @@ def water_savings(candidate: ControllerResult, baseline: ControllerResult) -> fl
     return 100.0 * (baseline.total_water - candidate.total_water) / baseline.total_water
 
 
-def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResult:
-    """Paired season comparison: each controller steps its own episode of one
-    batched environment, all in lockstep.
+def _rows(indices) -> slice | np.ndarray:
+    """Row indices as a slice when they are consecutive, so that indexing
+    with them takes a view instead of a copy; as an index array otherwise."""
+    indices = np.asarray(indices, dtype=int)
+    if indices.size and np.array_equal(
+            indices, np.arange(indices[0], indices[0] + indices.size)):
+        return slice(int(indices[0]), int(indices[0]) + indices.size)
+    return indices
 
-    The season weather has days + 1 records, so every episode starts on its
-    first day.  Every episode resets with the run's seed, so all controllers
-    see identical initial soil water and noise streams, and a controller's
-    season does not depend on which others share the roster.  Each day the
-    RL controllers' policies decide in stacked passes, and the run's shield
-    screens the proposals of every ShieldedController in one call, with the
-    ET baseline as fallback.
+
+def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResult:
+    """Paired season comparison: every controller runs its own row of one
+    (E, n) soil-water block, all in lockstep.
+
+    The season weather has days + 1 records, so the episode starts on its
+    first day.  The controllers share the draws of one reset with the run's
+    seed, so they see identical initial soil water and noise, and a
+    controller's season does not depend on which others share the roster:
+    each of its entries is bit for bit what a plain per-day loop of
+    IrrigationEnv.step, its own decide and one-row screens gives.  Each day
+    the RL controllers' policies decide in stacked passes, the ET baseline
+    applies its dose of the day, and the run's shield screens the proposals
+    of every ShieldedController in one call, with that dose as fallback.
     """
     season = build_season_weather(run)
     names = list(controllers)
     ctls = [controllers[name] for name in names]
-    E, n = len(names), run.n_regions
-    env = IrrigationEnv(build_env_config(run), season)
-    obs = env.reset([run.seed] * E)
+    E, n, days = len(names), run.n_regions, run.days
+    config = build_env_config(run)
+    env = IrrigationEnv(config, season)
+    env.reset([run.seed])
+    noise = env.process_noise[:, 0]
+
+    # the season's weather-only inputs, read once
+    columns = weather_columns(season)
+    et, precip = columns[:, OBS_ET].tolist(), columns[:, OBS_PRECIP].tolist()
+    et_next = columns[:, OBS_PREDICTED_ET_NEXT].tolist()
+    precip_next = columns[:, OBS_FORECAST_PRECIP_NEXT].tolist()
+
+    def doses(ctl: EtController) -> list[float]:
+        return [ctl.dose(x, p) for x, p in zip(et[:days], precip[:days])]
+
+    # the shield's fallback is the ET baseline at the run's a_max
+    fallback = doses(EtController(n, run.env.a_max))
 
     screened = np.flatnonzero([isinstance(c, ShieldedController) for c in ctls])
     inner = [c.inner if isinstance(c, ShieldedController) else c for c in ctls]
@@ -148,46 +188,64 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     stacked: dict[tuple, list[int]] = {}
     for e in leads.values():
         stacked.setdefault(inner[e].policy.net.sizes, []).append(e)
-    stacks = [(np.array(rows), PolicyStack([inner[e].policy for e in rows]))
+    baselines = [(e, fallback if c.a_max == run.env.a_max else doses(c))
+                 for e, c in enumerate(inner) if isinstance(c, EtController)]
+    others = [e for e, c in enumerate(inner)
+              if not isinstance(c, (RlController, EtController))]
+    # the controllers that read observation rows: obs row i is controller
+    # readers[i]'s
+    readers = sorted([e for rows in stacked.values() for e in rows] + others)
+    stacks = [(_rows(rows), _rows([readers.index(e) for e in rows]),
+               PolicyStack([inner[e].policy for e in rows]))
               for rows in stacked.values()]
-    alone = [(e, c.decide) for e, c in enumerate(inner)
-             if not isinstance(c, RlController)]
+    alone = [(readers.index(e), e, inner[e].decide) for e in others]
+    obs = np.empty((len(readers), n + OBS_EXTRA))
+    readers = _rows(readers)
     shield = build_shield_config(run) if screened.size else None
-    fallback = EtController(n, run.env.a_max)
     enabled = np.array([ctls[e].enabled for e in screened], dtype=bool)
+    screened = _rows(screened)
 
-    initial_v = env.v.copy()
-    actions = np.zeros((E, run.days, n))
-    soil = np.zeros((E, run.days, n))
-    deficits = np.full((E, run.days), np.nan)
-    triggered = np.zeros((E, run.days), dtype=bool)
+    v = np.repeat(env.initial_v, E, axis=0)
+    actions = np.zeros((E, days, n))
+    soil = np.zeros((E, days, n))
+    deficits = np.full((E, days), np.nan)
+    triggered = np.zeros((E, days), dtype=bool)
     proposals = np.empty((E, n))
 
-    for day in range(run.days):
-        for e, decide in alone:
-            proposals[e] = decide(obs[e])
-        for rows, stack in stacks:
-            proposals[rows] = stack.mean_actions(obs[rows])
-        # a twin shares its lead's policy: on a bitwise equal row it copies
-        # the lead's proposal, before the shield replaces any of them
+    for day in range(days):
+        obs[:, :n] = v[readers]
+        obs[:, n:] = columns[day]
+        for e, series in baselines:
+            proposals[e] = series[day]
+        for i, e, decide in alone:
+            proposals[e] = decide(obs[i])
+        for rows, block, stack in stacks:
+            proposals[rows] = stack.mean_actions(obs[block])
+        # a twin shares its lead's policy: on a bitwise equal soil row (the
+        # weather columns are shared) it copies the lead's proposal, before
+        # the shield replaces any of them
         for e, lead in twins:
             proposals[e] = (proposals[lead]
-                            if obs[e].tobytes() == obs[lead].tobytes()
-                            else inner[e].decide(obs[e]))
-        if screened.size:
+                            if v[e].tobytes() == v[lead].tobytes()
+                            else inner[e].decide(
+                                np.concatenate((v[e], columns[day]))))
+        if shield is not None:
             (proposals[screened], deficits[screened, day],
              triggered[screened, day]) = screen_rows(
-                shield, obs[screened], proposals[screened], fallback, enabled)
-        obs = env.step(proposals)
-        actions[:, day] = env.a
-        soil[:, day] = env.v
+                shield, v[screened], proposals[screened], precip_next[day],
+                et_next[day], fallback[day], enabled)
+        v, actions[:, day] = water_balance(config, v, proposals,
+                                           precip[day + 1], et[day + 1],
+                                           noise[day])
+        soil[:, day] = v
 
     dates = season.dates[1:].tolist()
     return ExperimentResult(
-        season_days=run.days, seed=run.seed, config_fingerprint=config_hash(run),
+        season_days=days, seed=run.seed, config_fingerprint=config_hash(run),
         entries={name: ControllerResult(
-            season_days=run.days, initial_v=initial_v[e], dates=list(dates),
-            daily_water=actions[e].sum(axis=1), actions=actions[e], soil=soil[e],
+            season_days=days, initial_v=env.initial_v[0].copy(),
+            dates=list(dates), daily_water=actions[e].sum(axis=1),
+            actions=actions[e], soil=soil[e],
             sources=[SOURCE_SHIELD if t else ctls[e].source
                      for t in triggered[e].tolist()],
             deficits=deficits[e], triggered=triggered[e])

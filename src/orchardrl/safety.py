@@ -2,24 +2,26 @@
 
 Before an agent action executes, the shield predicts each region's next-day
 soil water under that action using its own learned water-balance model.  It
-reads the environment's observation row: the soil-water columns and the two
-forecast columns (predicted_et_next, forecast_precip_next).  If the
-aggregate predicted stress deficit is positive, the shield takes over for
-this cycle only; the agent resumes control next cycle.  On a takeover the
-fallback controller's action is the starting point, and every region the
-shield still predicts below v_mad under it is raised to the least dose that
-the same model predicts reaches v_mad, capped at a_max.  So the shield
-never executes an action it predicts unsafe unless even a_max falls short.
-This is the minimal correction of Dalal et al. 2018 for one linear
-constraint per region.
+reads no observation row: it takes the soil water, the next-day forecast
+(forecast precipitation and predicted ET) and the fallback's doses as
+arrays, so it does not depend on the observation layout.  If the aggregate
+predicted stress deficit is positive, the shield takes over for this cycle
+only; the agent resumes control next cycle.  On a takeover the fallback
+dose is the starting point, and every region the shield still predicts
+below v_mad under it is raised to the least dose that the same model
+predicts reaches v_mad, capped at a_max.  So the shield never executes an
+action it predicts unsafe unless even a_max falls short.  This is the
+minimal correction of Dalal et al. 2018 for one linear constraint per
+region.
 
 The detector aggregates per-region positive parts,
 sum_i max(0, v_mad - v_hat_i), so a well-watered region can never mask
 another region's predicted deficit.
 
-Every function here takes k observation rows with one proposal each and
-screens them at once; the arithmetic is elementwise per row, so a row's
-result is bit for bit that of screening it alone.
+Every function here takes k soil rows with one proposal each and screens
+them at once, under one forecast shared by every row or one per row; the
+arithmetic is elementwise per row, so a row's result is bit for bit that of
+screening it alone.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import (
-    OBS_FORECAST_PRECIP_NEXT,
-    OBS_PREDICTED_ET_NEXT,
-    channel,
-    soil_water,
-)
 from .predictor import PredictorModel, coefficient_table, predict_next_array
 
 
@@ -46,8 +42,10 @@ class ShieldConfig:
     saturates the shield's predictions the same way the simulator saturates
     true storage; a_max caps the corrected dose on a takeover, since the
     valves cannot apply more.  coef is the models' coefficient table, built
-    once here.  Whether a screened controller may be overridden is the
-    caller's choice (screen_rows' enabled), not the shield's.
+    once here, and gain its irrigation row c2 with 1.0 where c2 <= 0 (a
+    region irrigation cannot reach), the divisor that solves for a dose.
+    Whether a screened controller may be overridden is the caller's choice
+    (screen_rows' enabled), not the shield's.
     """
 
     model: tuple[PredictorModel, ...]
@@ -55,6 +53,7 @@ class ShieldConfig:
     cap: float
     a_max: float
     coef: np.ndarray = field(init=False, repr=False, compare=False)
+    gain: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.model:
@@ -64,8 +63,10 @@ class ShieldConfig:
         if self.a_max < 0:
             raise ValueError("a_max must be nonnegative")
         coef = coefficient_table(self.model)
-        coef.flags.writeable = False
+        gain = np.where(coef[1] > 0, coef[1], 1.0)
+        coef.flags.writeable = gain.flags.writeable = False
         object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "gain", gain)
 
 
 # Bounds the rounding fix-up in _least_safe_action; a cap below v_mad would
@@ -73,82 +74,90 @@ class ShieldConfig:
 _MAX_ULP_STEPS = 8
 
 
-def _predict(config: ShieldConfig, obs: np.ndarray,
-             action: np.ndarray) -> np.ndarray:
-    """The shield's next-day prediction for every region of each observation
-    row, from its forecast columns; bit for bit predict_next's."""
-    return predict_next_array(config.coef, soil_water(obs), action,
-                              channel(obs, OBS_FORECAST_PRECIP_NEXT)[..., None],
-                              channel(obs, OBS_PREDICTED_ET_NEXT)[..., None],
-                              cap=config.cap)
+def _forecast(x) -> np.ndarray:
+    """A forecast channel as a column against (k, n) rows: (1,) for one
+    value shared by every row, (k, 1) for one per row."""
+    return np.asarray(x, dtype=float)[..., None]
 
 
-def predicted_deficit(config: ShieldConfig, obs: np.ndarray,
-                      action: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predicted_deficit(config: ShieldConfig, v: np.ndarray, action: np.ndarray,
+                      precip_next, et_next) -> tuple[np.ndarray, np.ndarray]:
     """Next-day per-region predictions under actions, and the aggregate
-    stress deficit those predictions imply: (k, n) and (k,) for k
-    observation rows with one action each, (n,) and a scalar for one row."""
+    stress deficit those predictions imply: (k, n) and (k,) for k soil rows
+    with one action each, (n,) and a scalar for one row.  precip_next and
+    et_next are the forecast, one value for every row or one per row; each
+    prediction is predict_next's, bit for bit."""
     a = np.asarray(action, dtype=float)
     if a.shape[-1] != len(config.model):
         raise ValueError(f"action has {a.shape[-1]} regions; the shield has "
                          f"{len(config.model)} models")
-    v_hat = _predict(config, obs, a)
+    v_hat = predict_next_array(config.coef, v, a, _forecast(precip_next),
+                               _forecast(et_next), cap=config.cap)
     return v_hat, np.maximum(0.0, config.v_mad - v_hat).sum(axis=-1)
 
 
-def _least_safe_action(config: ShieldConfig, obs: np.ndarray,
-                       base: np.ndarray) -> np.ndarray:
-    """Raise each region the shield predicts below v_mad under base to the
-    least dose it predicts reaches v_mad, capped at config.a_max; obs holds
-    one row per row of base.
+def _least_safe_action(config: ShieldConfig, v: np.ndarray, base: np.ndarray,
+                       precip_next: np.ndarray, et_next: np.ndarray,
+                       selected: np.ndarray) -> np.ndarray:
+    """Raise each region of the rows the (k,) mask selected picks that the
+    shield predicts below v_mad under base to the least dose it predicts
+    reaches v_mad, capped at config.a_max; every other entry keeps base.  v
+    is (k, n), and base and the forecast columns broadcast against it.
 
     Solving the affine model gives a*_i = (v_mad - c1 v_i - c2 p - c3 e - b)
     / c2, and a region is raised when a*_i exceeds its base dose.  Rounding
     can leave the prediction at a* an ulp or two short, so a raised region
     steps up by one ulp of v_mad in dose units (a few steps at most) until
     the model certifies it.  Regions the model says irrigation cannot reach
-    (c2 <= 0) keep the base dose.
+    (c2 <= 0) keep the base dose; they divide by config.gain's 1.0 instead,
+    so no division by zero happens.
     """
-    a = np.array(base, dtype=float)
     c1, c2, c3, b = config.coef
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_star = (config.v_mad - c1 * soil_water(obs)
-                  - c2 * channel(obs, OBS_FORECAST_PRECIP_NEXT)[..., None]
-                  - c3 * channel(obs, OBS_PREDICTED_ET_NEXT)[..., None] - b) / c2
-    raised = (a_star > a) & (c2 > 0)
+    a_star = (config.v_mad - c1 * v - c2 * precip_next - c3 * et_next
+              - b) / config.gain
+    raised = (a_star > base) & (c2 > 0) & selected[:, None]
     if not np.count_nonzero(raised):
-        return a
-    a = np.where(raised, np.minimum(a_star, config.a_max), a)
+        return base
+    a = np.where(raised, np.minimum(a_star, config.a_max), base)
     for _ in range(_MAX_ULP_STEPS):
-        raised &= (a < config.a_max) & (_predict(config, obs, a) < config.v_mad)
+        v_hat = predict_next_array(config.coef, v, a, precip_next, et_next,
+                                   cap=config.cap)
+        raised &= (a < config.a_max) & (v_hat < config.v_mad)
         if not np.count_nonzero(raised):
             break
-        step = np.spacing(config.v_mad) / c2
+        step = np.spacing(config.v_mad) / config.gain
         a = np.where(raised, np.minimum(a + step, config.a_max), a)
     return a
 
 
-def screen_rows(config: ShieldConfig, obs: np.ndarray, proposed: np.ndarray,
-                fallback, enabled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Screen k proposed actions, one per observation row of the (k, obs_dim)
-    obs; on a trigger, execute a certified action instead.
+def screen_rows(config: ShieldConfig, v: np.ndarray, proposed: np.ndarray,
+                precip_next, et_next, fallback,
+                enabled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Screen k proposed actions, one per row of the (k, n_regions) soil
+    water v; on a trigger, execute a certified action instead.
 
-    proposed is (k, n_regions); enabled is one bool or a (k,) mask saying
-    which rows the shield may override.  Returns the (k, n_regions)
-    actions to execute, the (k,) predicted deficits of the proposals and
-    the (k,) trigger mask.  An enabled row triggers when its deficit is
-    positive; it then gets, region by region, the larger of the fallback's
-    dose and the least dose the shield predicts safe (capped at a_max).
-    fallback is any controller whose decide(obs) returns one row's depths;
-    only triggered rows consult it.  A disabled row's proposal always passes
-    through, but its deficit is still returned, so ablation runs can count
-    would-have-triggered days.
+    proposed is (k, n_regions).  precip_next and et_next are the next-day
+    forecast: one value shared by every row, or (k,) with one per row.
+    fallback holds the fallback controller's doses: one dose for every row
+    and region, an (n_regions,) row of them for every row, or a
+    (k, n_regions) block with one row per screened row.  enabled is one
+    bool or a (k,) mask saying which rows the shield may override.  Returns
+    the (k, n_regions) actions to execute, the (k,) predicted deficits of
+    the proposals and the (k,) trigger mask.  An enabled row triggers when
+    its deficit is positive; it then gets, region by region, the larger of
+    the fallback dose and the least dose the shield predicts safe (capped
+    at a_max).  A disabled row's proposal always passes through, but its
+    deficit is still returned, so ablation runs can count would-have-
+    triggered days.
     """
-    actions = np.array(proposed, dtype=float)
-    _, deficits = predicted_deficit(config, obs, actions)
+    actions = np.asarray(proposed, dtype=float)
+    _, deficits = predicted_deficit(config, v, actions, precip_next, et_next)
     triggered = np.asarray(enabled) & (deficits > 0.0)
-    if triggered.any():
-        rows = obs[triggered]
-        base = np.array([fallback.decide(row) for row in rows])
-        actions[triggered] = _least_safe_action(config, rows, base)
+    if np.count_nonzero(triggered):
+        safe = _least_safe_action(config, v, np.asarray(fallback, dtype=float),
+                                  _forecast(precip_next), _forecast(et_next),
+                                  triggered)
+        actions = np.where(triggered[:, None], safe, actions)
+    else:
+        actions = actions.copy()
     return actions, deficits, triggered

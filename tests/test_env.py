@@ -19,10 +19,11 @@ from orchardrl.env import (
     channel,
     reward,
     soil_water,
+    water_balance,
 )
 from orchardrl.hydrology import SoilLevels, derive_levels
 from orchardrl.hydrology import testbed_profile as orchard_profile
-from orchardrl.predictor import TREE1_MODEL, predict_next
+from orchardrl.predictor import TREE1_MODEL, TREE2_MODEL, predict_next
 from orchardrl.runconfig import (
     build_env_config,
     build_training_weather,
@@ -151,8 +152,8 @@ class TestReset:
         assert np.array_equal(env.reset([5]), first)
 
     def test_repeated_seeds_equal_single_seed_episodes(self):
-        # one set of draws serves every episode given the same seed, yet
-        # each episode owns its rows: under different actions each one
+        # episodes given the same seed draw the same start, soil water and
+        # noise, yet each owns its rows: under different actions each one
         # runs exactly as a lone episode of its seed would
         cfg = default_env_config(process_noise_std=0.05)
         weather = synthesize_season(4, 120)
@@ -552,3 +553,121 @@ class TestVecIrrigationEnv:
         cfg = default_env_config()
         with pytest.raises(ValueError, match="episode_length"):
             IrrigationEnv(cfg, flat_season(cfg.episode_length))
+
+    def test_trainer_style_reset_matches_reference(self):
+        # the trainer resets with independent 32-bit seeds, so episodes
+        # start on different records; each steps bit for bit as the
+        # predict_next loop fed by its own seed's draws, and the reset's
+        # draws read back unchanged and read-only
+        vec = self.env()
+        cfg = vec.config
+        weather = synthesize_season(4, 120)
+        seeds = np.random.default_rng(12).integers(2 ** 32, size=6)
+        actions = self.fixed_actions(cfg, len(seeds))
+        obs = [vec.reset(seeds)]
+        soil = [vec.v]
+        for a in actions:
+            obs.append(vec.step(a))
+            soil.append(vec.v)
+        n, L = len(cfg.dynamics), cfg.episode_length
+        cap, std = cfg.saturation_cap, cfg.plant.process_noise_std
+        starts = []
+        for e, seed in enumerate(seeds.tolist()):
+            rng = np.random.default_rng(seed)
+            starts.append(int(rng.integers(0, len(weather) - L)))
+            v = rng.uniform(cfg.levels.v_mad, cfg.levels.v_fc, size=n)
+            noise = rng.normal(0.0, std, size=(L, n))
+            assert vec.initial_v[e].tobytes() == v.tobytes()
+            assert vec.process_noise[:, e].tobytes() == noise.tobytes()
+            assert np.array_equal(obs[0][e], obs_row(v, weather[starts[-1]]))
+            for t, a in enumerate(actions):
+                w = weather[starts[-1] + t + 1]
+                v = np.array([predict_next(m, v_i, a_i, w.precip, w.et, cap=cap)
+                              for m, v_i, a_i in zip(cfg.dynamics, v, a[e])])
+                v = np.clip(v + noise[t], 0.0, cap)
+                assert soil[t + 1][e].tobytes() == v.tobytes()
+                assert np.array_equal(obs[t + 1][e], obs_row(v, w))
+        assert len(set(starts)) == len(seeds)
+        for draws in (vec.initial_v, vec.process_noise):
+            with pytest.raises(ValueError, match="read-only"):
+                draws[0, 0] = 1.0
+
+    def test_noise_free_reset_draws_zero_noise(self):
+        cfg = default_env_config(process_noise_std=0.0)
+        env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
+        assert env.initial_v is None and env.process_noise is None
+        env.reset([1, 2, 1])
+        assert env.process_noise.shape == (cfg.episode_length, 3, 2)
+        assert not env.process_noise.any()
+        assert np.array_equal(env.initial_v[0], env.initial_v[2])
+        assert np.array_equal(env.v, env.initial_v)
+
+
+class TestWaterBalance:
+    """The one plant step: IrrigationEnv.step and the season roster both
+    advance soil water through water_balance."""
+
+    @given(data=st.data(), E=st.integers(min_value=1, max_value=4),
+           n=st.integers(min_value=1, max_value=5),
+           noise_std=st.sampled_from([0.0, 0.3]),
+           per_row=st.booleans())
+    def test_matches_predict_next_elementwise(self, data, E, n, noise_std,
+                                              per_row):
+        # each element is predict_next's on the clipped depth, then, on a
+        # noisy plant, the noise added and clipped into [0, cap]
+        cfg = default_env_config(n_regions=n, process_noise_std=noise_std,
+                                 dynamics=tuple((TREE1_MODEL, TREE2_MODEL)[i % 2]
+                                                for i in range(n)))
+        a_max, cap = cfg.plant.a_max, cfg.saturation_cap
+
+        def block(lo, hi, shape):
+            return np.array(data.draw(st.lists(
+                st.floats(min_value=lo, max_value=hi), min_size=int(np.prod(shape)),
+                max_size=int(np.prod(shape))))).reshape(shape)
+
+        v = block(0.0, 9.0, (E, n))
+        actions = block(-1e-9, a_max + 1e-9, (E, n))
+        noise = block(-1.0, 1.0, (E, n))
+        precip, et = (block(0.0, 2.0, (E, 1)) if per_row else
+                      data.draw(st.floats(min_value=0.0, max_value=2.0))
+                      for _ in range(2))
+        v_next, applied = water_balance(cfg, v, actions, precip, et, noise)
+        assert v_next.shape == applied.shape == (E, n)
+        for i in range(E):
+            p = float(precip[i, 0]) if per_row else precip
+            e = float(et[i, 0]) if per_row else et
+            for j, model in enumerate(cfg.dynamics):
+                a = min(a_max, max(0.0, float(actions[i, j])))
+                assert applied[i, j] == a
+                want = predict_next(model, float(v[i, j]), a, p, e, cap=cap)
+                if noise_std > 0:
+                    want = min(cap, max(0.0, want + float(noise[i, j])))
+                assert v_next[i, j] == want
+
+    def test_step_is_water_balance(self):
+        # step feeds the next record's actual precip and ET and the day's
+        # noise row, and keeps the results as env.v and env.a
+        cfg = default_env_config(process_noise_std=0.05)
+        days = cfg.episode_length + 1     # one start: the first record
+        weather = flat_season(days, et=np.linspace(0.1, 0.3, days),
+                              precip=np.linspace(0.0, 0.2, days))
+        env = IrrigationEnv(cfg, weather)
+        env.reset([9, 10])
+        for t in range(3):
+            v, a = env.v, np.full((2, 2), 0.1 * t)
+            env.step(a)
+            w = weather[t + 1]
+            want_v, want_a = water_balance(cfg, v, a, w.precip, w.et,
+                                           env.process_noise[t])
+            assert env.v.tobytes() == want_v.tobytes()
+            assert env.a.tobytes() == want_a.tobytes()
+
+    def test_action_checks_keep_their_messages(self):
+        cfg = default_env_config()
+        v, z = np.full((1, 2), 5.0), np.zeros((1, 2))
+        with pytest.raises(ValueError, match=r"actions must have shape \(1, 2\)"):
+            water_balance(cfg, v, np.zeros((2, 2)), 0.0, 0.1, z)
+        with pytest.raises(ValueError, match=r"action 0.6 outside \[0, 0.54\]"):
+            water_balance(cfg, v, np.array([[0.1, 0.6]]), 0.0, 0.1, z)
+        with pytest.raises(ValueError, match="action nan outside"):
+            water_balance(cfg, v, np.array([[np.nan, 0.1]]), 0.0, 0.1, z)

@@ -4,6 +4,8 @@ import csv
 import datetime as dt
 import io
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,16 @@ from orchardrl.controllers import (
     SensorController,
     ShieldedController,
 )
-from orchardrl.env import N_MONTHS, NormalizationStats, PlantParams
+from orchardrl.env import (
+    N_MONTHS,
+    OBS_FORECAST_PRECIP_NEXT,
+    OBS_PREDICTED_ET_NEXT,
+    IrrigationEnv,
+    NormalizationStats,
+    PlantParams,
+    channel,
+    soil_water,
+)
 from orchardrl.evalharness import (
     POLICY_NAMES,
     ROSTER_NAMES,
@@ -42,8 +53,12 @@ from orchardrl.runconfig import (
     build_shield_config,
     config_hash,
     default_run_config,
+    measurement_run,
 )
+from orchardrl.safety import screen_rows
 from orchardrl.software import software_environment
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def fake_result(daily_water, n_regions=2, soil=None):
@@ -224,21 +239,6 @@ class TestRunRoster:
                                "y": ConstantController(run.n_regions, 0.2)})
         assert np.array_equal(exp.entries["x"].soil, exp.entries["y"].soil)
 
-    @staticmethod
-    def live_policy(run, hidden, seed):
-        """A policy with a live output layer biased toward little water, and
-        normalization statistics of its own."""
-        obs_dim = build_env_config(run).obs_dim
-        policy = SquashedGaussianPolicy(obs_dim, run.n_regions, run.env.a_max,
-                                        hidden=hidden, seed=seed)
-        policy.net.weights[-1][:] *= 100.0
-        policy.net.biases[-1][:] = -1.0
-        rng = np.random.default_rng(seed)
-        n = obs_dim - N_MONTHS
-        policy.norm_stats = NormalizationStats(mean=rng.uniform(0.0, 5.0, n),
-                                               std=rng.uniform(0.5, 3.0, n))
-        return policy
-
     @pytest.mark.parametrize("mad_hidden", [(8,), (16, 16)],
                              ids=["two-architectures", "one-architecture"])
     def test_rl_entries_match_their_rosters_of_one(self, mad_hidden):
@@ -246,9 +246,9 @@ class TestRunRoster:
         # or of the same hidden sizes.  The twins see the same rows until
         # rl's shield first takes over, and their own rows after it.
         run = default_run_config(days=60, seed=1)
-        policy = self.live_policy(run, (16, 16), seed=1)
+        policy = live_policy(run, (16, 16), seed=1)
         policies = {"rl": policy, "rl-noshield": policy,
-                    "rl-mad": self.live_policy(run, mad_hidden, seed=2)}
+                    "rl-mad": live_policy(run, mad_hidden, seed=2)}
         roster = run_roster(run, {
             name: build_controller(run, name, policy=policies.get(name))
             for name in ROSTER_NAMES}).entries
@@ -268,6 +268,139 @@ class TestRunRoster:
                 assert np.array_equal(getattr(alone, field), getattr(entry, field),
                                       equal_nan=field == "deficits"), (name, field)
             assert alone.sources == entry.sources
+
+
+def live_policy(run, hidden, seed):
+    """A policy with a live output layer biased toward little water, and
+    normalization statistics of its own."""
+    obs_dim = build_env_config(run).obs_dim
+    policy = SquashedGaussianPolicy(obs_dim, run.n_regions, run.env.a_max,
+                                    hidden=hidden, seed=seed)
+    policy.net.weights[-1][:] *= 100.0
+    policy.net.biases[-1][:] = -1.0
+    rng = np.random.default_rng(seed)
+    n = obs_dim - N_MONTHS
+    policy.norm_stats = NormalizationStats(mean=rng.uniform(0.0, 5.0, n),
+                                           std=rng.uniform(0.5, 3.0, n))
+    return policy
+
+
+def reference_season(run, controllers) -> dict[str, dict]:
+    """Each controller's season by a plain per-day loop: its own
+    IrrigationEnv episode reset with the run's seed and advanced with
+    IrrigationEnv.step, its own decide on its own observation row, and for
+    a shielded controller a one-row screen of that row's soil water under
+    the row's forecast, with the ET baseline's decide as fallback."""
+    season = build_season_weather(run)
+    shield = build_shield_config(run)
+    fallback = EtController(run.n_regions, run.env.a_max)
+    out = {}
+    for name, ctl in controllers.items():
+        env = IrrigationEnv(build_env_config(run), season)
+        obs = env.reset([run.seed])[0]
+        inner = ctl.inner if isinstance(ctl, ShieldedController) else ctl
+        got = {"initial_v": env.v[0].copy(), "actions": [], "soil": [],
+               "deficits": [], "triggered": [], "sources": []}
+        for _ in range(run.days):
+            action, deficit, trig = inner.decide(obs), np.nan, False
+            if isinstance(ctl, ShieldedController):
+                screened, deficits, triggered = screen_rows(
+                    shield, soil_water(obs)[None], action[None],
+                    channel(obs, OBS_FORECAST_PRECIP_NEXT),
+                    channel(obs, OBS_PREDICTED_ET_NEXT), fallback.decide(obs),
+                    ctl.enabled)
+                action, deficit, trig = screened[0], deficits[0], triggered[0]
+            obs = env.step(action[None])[0]
+            got["actions"].append(env.a[0])
+            got["soil"].append(env.v[0])
+            got["deficits"].append(deficit)
+            got["triggered"].append(bool(trig))
+            got["sources"].append(SOURCE_SHIELD if trig else ctl.source)
+        out[name] = {key: value if key == "sources" else np.array(value)
+                     for key, value in got.items()}
+    return out
+
+
+class TestReferenceSeason:
+    """run_roster against the plain per-day reference loop, bit for bit:
+    actions, soil, deficits (NaN included), triggers and sources."""
+
+    @staticmethod
+    def assert_matches_reference(run, controllers):
+        roster = run_roster(run, controllers).entries
+        reference = reference_season(run, controllers)
+        assert list(roster) == list(reference)
+        for name, want in reference.items():
+            entry = roster[name]
+            for field in ("initial_v", "actions", "soil", "deficits"):
+                got = np.asarray(getattr(entry, field), dtype=float)
+                assert got.shape == want[field].shape, (name, field)
+                assert got.tobytes() == want[field].tobytes(), (name, field)
+            assert entry.triggered.tolist() == want["triggered"].tolist(), name
+            assert entry.sources == want["sources"], name
+            assert entry.daily_water.tobytes() == \
+                entry.actions.sum(axis=1).tobytes(), name
+        return roster
+
+    @staticmethod
+    def full_roster(run, rl_hidden=(16, 16), mad_hidden=(8,)):
+        policy = live_policy(run, rl_hidden, seed=1)
+        policies = {"rl": policy, "rl-noshield": policy,
+                    "rl-mad": live_policy(run, mad_hidden, seed=2)}
+        return {name: build_controller(run, name, policy=policies.get(name))
+                for name in ROSTER_NAMES}
+
+    def test_noisy_default(self):
+        run = default_run_config(days=60, seed=3)
+        assert run.env.process_noise_std > 0
+        roster = self.assert_matches_reference(run, self.full_roster(run))
+        assert roster["rl-mad"].shield_trigger_days > 0
+
+    def test_interleaved_roster_order(self):
+        # shielded, stacked and observation-reading rows that are not
+        # consecutive are gathered by index instead of sliced
+        run = default_run_config(days=60, seed=7)
+        roster = self.full_roster(run, mad_hidden=(16, 16))
+        self.assert_matches_reference(run, {
+            name: roster[name]
+            for name in ("rl", "et", "rl-noshield", "sensor", "rl-mad")})
+
+    def test_measurement_setting(self):
+        run = measurement_run(default_run_config(days=60, seed=4))
+        assert run.env.process_noise_std == 0
+        self.assert_matches_reference(run, self.full_roster(run, mad_hidden=(16, 16)))
+
+    def test_diverged_twins(self):
+        # rl's shield takes over on some day; from then on rl-noshield
+        # decides on its own rows
+        run = default_run_config(days=60, seed=1)
+        roster = self.assert_matches_reference(run, self.full_roster(run))
+        rl, twin = roster["rl"], roster["rl-noshield"]
+        first = int(np.argmax(rl.triggered))
+        assert 0 < first < run.days - 1 and rl.triggered[first]
+        assert np.array_equal(rl.soil[:first], twin.soil[:first])
+        assert not np.array_equal(rl.soil[first:], twin.soil[first:])
+
+    def test_shield_ablation_roster(self):
+        rewire_to_zero = runpy.run_path(str(SCRIPTS / "shield_ablation.py"),
+                                        run_name="script")["rewire_to_zero"]
+        run = measurement_run(default_run_config(days=60, seed=5))
+        policy = live_policy(run, (16, 16), seed=3)
+        adversary = rewire_to_zero(policy)
+        roster = self.assert_matches_reference(run, {
+            "trained-on": build_controller(run, "rl", policy=policy),
+            "trained-off": build_controller(run, "rl-noshield", policy=policy),
+            "adversary-on": build_controller(run, "rl", policy=adversary),
+            "adversary-off": build_controller(run, "rl-noshield",
+                                              policy=adversary)})
+        assert roster["adversary-on"].shield_trigger_days > 0
+
+    @pytest.mark.parametrize("name", ["et", "sensor", "rl"])
+    def test_roster_of_one(self, name):
+        run = default_run_config(days=40, seed=6)
+        policy = live_policy(run, (16, 16), seed=4) if name == "rl" else None
+        self.assert_matches_reference(
+            run, {name: build_controller(run, name, policy=policy)})
 
 
 class TestBuildController:

@@ -1,6 +1,6 @@
 """Action screening: deficit detector, fallback substitution, soundness."""
 
-import datetime as dt
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orchardrl.controllers import ConstantController, EtController
-from orchardrl.env import IrrigationEnv
+from orchardrl.env import (
+    OBS_FORECAST_PRECIP_NEXT,
+    OBS_PREDICTED_ET_NEXT,
+    IrrigationEnv,
+    channel,
+    soil_water,
+)
 from orchardrl.predictor import (
     TREE1_MODEL,
     TREE2_MODEL,
@@ -18,26 +24,12 @@ from orchardrl.predictor import (
     predict_next,
 )
 from orchardrl.safety import ShieldConfig, predicted_deficit, screen_rows
-from orchardrl.weather import WeatherDay
 
-from conftest import default_env_config, flat_season, obs_row
+from conftest import default_env_config, flat_season
 
 V_MAD = 4.726
 CAP = 8.09      # the testbed's field capacity plus 1 in of surplus headroom
 A_MAX = 0.54
-
-
-def make_day(et=0.15, precip=0.0, et_next=0.15, precip_next=0.0,
-             date=dt.date(2020, 7, 1)):
-    return WeatherDay(date=date, et=et, precip=precip,
-                      t_max=85.0, t_avg=70.0, t_min=55.0,
-                      h_max=90.0, h_avg=60.0, h_min=30.0, solar=600.0,
-                      wind=4.0, predicted_et_next=et_next,
-                      forecast_precip_next=precip_next)
-
-
-def make_obs(v, **day_kw):
-    return obs_row(v, make_day(**day_kw))
 
 
 def make_shield(*models, **kw):
@@ -52,13 +44,23 @@ class RowReport(NamedTuple):
     triggered: bool
 
 
-def screen(config, obs, proposed, fallback, enabled=True):
-    """Screen one observation row: screen_rows with k = 1, returning the
-    row's action and its deficit and trigger."""
+def screen(config, v, proposed, fallback, enabled=True, et_next=0.15,
+           precip_next=0.0):
+    """Screen one soil row: screen_rows with k = 1 under a forecast and a
+    fallback dose (or row of doses), returning the row's action and its
+    deficit and trigger."""
     actions, deficits, triggered = screen_rows(
-        config, obs[None], np.asarray(proposed, dtype=float)[None], fallback,
-        enabled)
+        config, np.asarray(v, dtype=float)[None],
+        np.asarray(proposed, dtype=float)[None], precip_next, et_next,
+        fallback, enabled)
     return actions[0], RowReport(deficits[0], triggered[0])
+
+
+def deficit_of(config, v, action, et_next=0.15, precip_next=0.0):
+    """predicted_deficit for one soil row under a forecast."""
+    return predicted_deficit(config, np.asarray(v, dtype=float),
+                             np.asarray(action, dtype=float), precip_next,
+                             et_next)
 
 
 class TestShieldConfig:
@@ -76,7 +78,7 @@ class TestShieldConfig:
         # one model would otherwise broadcast silently over both regions
         cfg = make_shield(TREE1_MODEL)
         with pytest.raises(ValueError, match="action has 2 regions"):
-            predicted_deficit(cfg, make_obs([5.0, 5.0]), np.zeros(2))
+            deficit_of(cfg, [5.0, 5.0], np.zeros(2))
 
     def test_unfitted_model_rejected_at_use(self):
         with pytest.raises(ValueError, match="one fitted PredictorModel"):
@@ -86,29 +88,27 @@ class TestShieldConfig:
 class TestPredictedDeficit:
     def test_hand_example(self):
         cfg = make_shield()
-        obs = make_obs([4.8], et_next=0.15, precip_next=0.0)
-        v_hat, deficit = predicted_deficit(cfg, obs, np.array([0.0]))
+        v_hat, deficit = deficit_of(cfg, [4.8], [0.0], et_next=0.15,
+                                    precip_next=0.0)
         assert v_hat[0] == pytest.approx(4.65795, abs=1e-9)
         assert deficit == pytest.approx(0.06805, abs=1e-9)
 
     def test_no_deficit_above_stress_level(self):
         cfg = make_shield()
-        obs = make_obs([6.5], et_next=0.15)
-        _, deficit = predicted_deficit(cfg, obs, np.array([0.0]))
+        _, deficit = deficit_of(cfg, [6.5], [0.0], et_next=0.15)
         assert deficit == 0.0
 
     def test_surplus_region_cannot_mask_deficit(self):
         cfg = make_shield(TREE1_MODEL, TREE1_MODEL)
-        obs = make_obs([7.0, 4.0], et_next=0.1)
-        _, deficit = predicted_deficit(cfg, obs, np.zeros(2))
+        _, deficit = deficit_of(cfg, [7.0, 4.0], np.zeros(2), et_next=0.1)
         # only region 2 contributes: 4.726 - (0.973*4 - 0.0103 + 0.003)
         assert deficit == pytest.approx(V_MAD - 3.8847, abs=1e-9)
 
     def test_cap_limits_predictions(self):
         cfg = make_shield(PredictorModel(c1=1.0, c2=1.0, c3=0.0, b=0.0),
                           cap=8.0)
-        obs = make_obs([7.8], precip_next=1.5, et_next=0.0)
-        v_hat, _ = predicted_deficit(cfg, obs, np.array([0.54]))
+        v_hat, _ = deficit_of(cfg, [7.8], [0.54], precip_next=1.5,
+                              et_next=0.0)
         assert v_hat[0] == 8.0
 
     @given(v=st.lists(st.floats(min_value=0.0, max_value=9.0),
@@ -120,8 +120,7 @@ class TestPredictedDeficit:
     def test_matches_scalar_predictor_exactly(self, v, a, et, precip):
         # the per-region predictions are predict_next's, bit for bit
         cfg = make_shield(TREE1_MODEL, TREE2_MODEL, cap=8.0)
-        obs = make_obs(v, et_next=et, precip_next=precip)
-        v_hat, _ = predicted_deficit(cfg, obs, np.array(a))
+        v_hat, _ = deficit_of(cfg, v, a, et_next=et, precip_next=precip)
         want = [predict_next(m, v_i, a_i, precip, et, cap=8.0)
                 for m, v_i, a_i in zip(cfg.model, v, a)]
         assert v_hat.tolist() == want
@@ -133,37 +132,29 @@ class TestPredictedDeficit:
            precip=st.floats(min_value=0.0, max_value=0.5))
     def test_less_water_never_reduces_deficit(self, v, a1, a2, et, precip):
         cfg = make_shield()
-        obs = make_obs([v], et_next=et, precip_next=precip)
         lo, hi = sorted((a1, a2))
-        _, d_lo = predicted_deficit(cfg, obs, np.array([lo]))
-        _, d_hi = predicted_deficit(cfg, obs, np.array([hi]))
+        _, d_lo = deficit_of(cfg, [v], [lo], et_next=et, precip_next=precip)
+        _, d_hi = deficit_of(cfg, [v], [hi], et_next=et, precip_next=precip)
         assert d_lo >= d_hi
 
 
 class TestScreen:
     def test_trigger_returns_fallback_action(self):
         cfg = make_shield()
-        obs = make_obs([4.8], et_next=0.15)
-        fallback = ConstantController(1, depth=0.54)
-        action, report = screen(cfg, obs, np.array([0.0]), fallback)
+        action, report = screen(cfg, [4.8], [0.0], 0.54)
         assert report.triggered
         assert np.array_equal(action, [0.54])
         assert report.deficit > 0.0
 
     def test_safe_action_passes_unchanged(self):
         cfg = make_shield()
-        obs = make_obs([6.5], et_next=0.15)
-        action, report = screen(cfg, obs, np.array([0.2]),
-                                ConstantController(1, depth=0.54))
+        action, report = screen(cfg, [6.5], [0.2], 0.54)
         assert not report.triggered
         assert np.array_equal(action, [0.2])
 
     def test_disabled_shield_records_counterfactual(self):
         cfg = make_shield()
-        obs = make_obs([4.8], et_next=0.15)
-        action, report = screen(cfg, obs, np.array([0.0]),
-                                ConstantController(1, depth=0.54),
-                                enabled=False)
+        action, report = screen(cfg, [4.8], [0.0], 0.54, enabled=False)
         assert np.array_equal(action, [0.0])
         assert not report.triggered
         assert report.deficit > 0.0
@@ -171,9 +162,8 @@ class TestScreen:
     def test_short_fallback_raised_to_least_safe_dose(self):
         cfg = make_shield()
         # v_hat = 0.973*4.8 - 0.103*0.15 + 0.003 = 4.65795 < 4.726
-        obs = make_obs([4.8], et=0.15, et_next=0.15)
-        action, report = screen(cfg, obs, np.array([0.0]),
-                                EtController(1, a_max=A_MAX))
+        et_dose = EtController(1, a_max=A_MAX).dose(0.15, 0.0)
+        action, report = screen(cfg, [4.8], [0.0], et_dose)
         assert report.triggered
         # ET's 0.15 in is itself predicted unsafe (4.65795 + 0.288*0.15 =
         # 4.70115 < 4.726), so the shield raises it to the least dose its
@@ -185,9 +175,7 @@ class TestScreen:
 
     def test_threshold_gates_marginal_deficits(self):
         # any predicted deficit triggers, however small
-        obs = make_obs([4.8], et_next=0.15)
-        _, report = screen(make_shield(), obs, np.zeros(1),
-                           ConstantController(1, depth=0.54))
+        _, report = screen(make_shield(), [4.8], np.zeros(1), 0.54)
         assert report.deficit == pytest.approx(0.06805, abs=1e-12)
         assert report.triggered
 
@@ -196,56 +184,112 @@ class TestScreen:
            et=st.floats(min_value=0.0, max_value=0.4))
     def test_trigger_iff_deficit_exceeds_threshold(self, v, a, et):
         cfg = make_shield()
-        obs = make_obs([v], et_next=et)
-        _, deficit = predicted_deficit(cfg, obs, np.array([a]))
-        _, report = screen(cfg, obs, np.array([a]),
-                           ConstantController(1, depth=0.54))
+        _, deficit = deficit_of(cfg, [v], [a], et_next=et)
+        _, report = screen(cfg, [v], [a], 0.54, et_next=et)
         assert report.triggered == (deficit > 0.0)
         assert report.deficit == deficit
 
     def test_report_shape(self):
         cfg = make_shield(TREE1_MODEL, TREE1_MODEL)
-        obs = np.stack([make_obs([5.0, 6.0], et_next=0.2),
-                        make_obs([4.0, 4.0], et_next=0.2),
-                        make_obs([4.0, 4.0], et_next=0.2)])
+        v = np.array([[5.0, 6.0], [4.0, 4.0], [4.0, 4.0]])
         actions, deficits, triggered = screen_rows(
-            cfg, obs, np.zeros((3, 2)), ConstantController(2, depth=0.54),
+            cfg, v, np.zeros((3, 2)), 0.0, 0.2, 0.54,
             np.array([True, True, False]))
         assert actions.shape == (3, 2)
         assert deficits.shape == (3,)
         assert triggered.dtype == bool
         assert triggered.tolist() == [False, True, False]
 
+    @staticmethod
+    def draw_rows(data, n, k):
+        """k soil rows of n regions, each with its own proposal, forecast,
+        ET fallback dose and enabled flag."""
+        unit = st.floats(min_value=0.0, max_value=1.0)
+        fallback = EtController(n, a_max=A_MAX)
+        v, proposals, forecast, doses, enabled = [], [], [], [], []
+        for _ in range(k):
+            v.append(data.draw(st.lists(st.floats(min_value=3.5, max_value=7.5),
+                                        min_size=n, max_size=n)))
+            et, precip, et_next, precip_next = (
+                data.draw(unit) * 0.5 for _ in range(4))
+            forecast.append((precip_next, et_next))
+            doses.append([fallback.dose(et, precip)] * n)
+            proposals.append(data.draw(st.lists(
+                st.floats(min_value=0.0, max_value=A_MAX), min_size=n, max_size=n)))
+            enabled.append(data.draw(st.booleans()))
+        precip_next, et_next = np.array(forecast).T
+        return (np.array(v), np.array(proposals), precip_next, et_next,
+                np.array(doses), np.array(enabled))
+
     @settings(max_examples=200)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=16),
            k=st.integers(min_value=1, max_value=6))
     def test_k_rows_equal_k_single_row_screens(self, data, n, k):
         # rows are screened independently and bit for bit as if alone:
-        # triggered, untriggered and disabled rows alike
+        # triggered, untriggered and disabled rows alike, each under its own
+        # forecast and fallback dose
         cfg = make_shield(*((TREE1_MODEL, TREE2_MODEL)[i % 2] for i in range(n)))
-        fallback = EtController(n, a_max=A_MAX)
-        unit = st.floats(min_value=0.0, max_value=1.0)
-        rows, proposals, enabled = [], [], []
-        for _ in range(k):
-            v = data.draw(st.lists(st.floats(min_value=3.5, max_value=7.5),
-                                   min_size=n, max_size=n))
-            et, precip, et_next, precip_next = (
-                data.draw(unit) * 0.5 for _ in range(4))
-            rows.append(make_obs(v, et=et, precip=precip, et_next=et_next,
-                                 precip_next=precip_next))
-            proposals.append(data.draw(st.lists(
-                st.floats(min_value=0.0, max_value=A_MAX), min_size=n, max_size=n)))
-            enabled.append(data.draw(st.booleans()))
-        obs, proposed = np.stack(rows), np.array(proposals)
-        actions, deficits, triggered = screen_rows(cfg, obs, proposed, fallback,
-                                                   np.array(enabled))
+        v, proposed, precip_next, et_next, doses, enabled = self.draw_rows(
+            data, n, k)
+        actions, deficits, triggered = screen_rows(
+            cfg, v, proposed, precip_next, et_next, doses, enabled)
         for j in range(k):
-            one = screen_rows(cfg, obs[j:j + 1], proposed[j:j + 1], fallback,
-                              enabled[j])
+            one = screen_rows(cfg, v[j:j + 1], proposed[j:j + 1],
+                              precip_next[j], et_next[j], doses[j],
+                              bool(enabled[j]))
             assert actions[j].tobytes() == one[0][0].tobytes()
             assert deficits[j].tobytes() == one[1][0].tobytes()
             assert triggered[j] == one[2][0]
             assert triggered[j] == (enabled[j] and deficits[j] > 0.0)
+
+    @settings(max_examples=100)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=16),
+           k=st.integers(min_value=1, max_value=6))
+    def test_shared_forecast_equals_per_row_forecasts(self, data, n, k):
+        # one forecast and one fallback dose for every row give the bits of
+        # the same values repeated row by row
+        cfg = make_shield(*((TREE1_MODEL, TREE2_MODEL)[i % 2] for i in range(n)))
+        v, proposed, precip_next, et_next, doses, enabled = self.draw_rows(
+            data, n, k)
+        shared = screen_rows(cfg, v, proposed, precip_next[0], et_next[0],
+                             doses[0, 0], enabled)
+        per_row = screen_rows(cfg, v, proposed, np.full(k, precip_next[0]),
+                              np.full(k, et_next[0]),
+                              np.full((k, n), doses[0, 0]), enabled)
+        for got, want in zip(shared, per_row):
+            assert got.tobytes() == want.tobytes()
+
+    def test_unreachable_region_keeps_its_base_dose(self):
+        # a region irrigation cannot reach (c2 = 0, or c2 < 0) keeps the
+        # fallback dose and divides by nothing, while the reachable region
+        # beside it is raised, some rows only after ulp steps
+        dry = PredictorModel(c1=0.9, c2=0.0, c3=-0.1, b=0.0)
+        losing = PredictorModel(c1=0.9, c2=-0.2, c3=-0.1, b=0.0)
+        cfg = make_shield(TREE2_MODEL, dry, losing)
+        rng = np.random.default_rng(4)
+        k = 200
+        v = np.column_stack([rng.uniform(4.2, 4.9, k), np.full(k, 4.0),
+                             np.full(k, 4.0)])
+        et_next = rng.uniform(0.0, 0.4, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            actions, _, triggered = screen_rows(
+                cfg, v, np.zeros((k, 3)), 0.0, et_next, 0.05, True)
+        assert triggered.all()
+        assert np.all(actions[:, 1:] == 0.05)
+        m = TREE2_MODEL
+        a_star = (V_MAD - m.c1 * v[:, 0] - m.c2 * 0.0 - m.c3 * et_next
+                  - m.b) / m.c2
+        raised = a_star > 0.05
+        assert raised.any()
+        v_hat = [predict_next(m, v_i, a_i, 0.0, e, cap=CAP)
+                 for v_i, a_i, e in zip(v[:, 0], a_star, et_next)]
+        # rounding left some a* an ulp short, so the fix-up stepped
+        assert np.any(raised & (np.array(v_hat) < V_MAD))
+        for v_i, a_i, e, up in zip(v[:, 0], actions[:, 0], et_next, raised):
+            safe = predict_next(m, v_i, a_i, 0.0, e, cap=CAP) >= V_MAD
+            assert safe or a_i == A_MAX
+            assert a_i == 0.05 or up
 
 
 class TestSoundness:
@@ -275,7 +319,11 @@ class TestSoundness:
         assert np.all(env.v >= cfg.levels.v_mad)
         for _ in range(cfg.episode_length):
             proposal = rng.uniform(0.0, cfg.plant.a_max, size=len(cfg.dynamics))
-            action, _ = screen(shield, obs[0], proposal, fallback)
+            row = obs[0]
+            action, _ = screen(
+                shield, soil_water(row), proposal, fallback.decide(row),
+                et_next=channel(row, OBS_PREDICTED_ET_NEXT),
+                precip_next=channel(row, OBS_FORECAST_PRECIP_NEXT))
             assert np.all(action <= cfg.plant.a_max)
             obs = env.step(action[None])
             assert np.all(env.v >= cfg.levels.v_mad - 1e-9)
@@ -298,9 +346,9 @@ class TestSoundness:
         cfg = make_shield(TREE1_MODEL, TREE1_MODEL)
         # region 1 needs (4.726 - 3.8502) / 0.288, about 3.04 in; region 2
         # needs (4.726 - 4.6322) / 0.288, about 0.326 in
-        obs = make_obs([4.0, 4.8], et=0.15, et_next=0.4)
-        action, report = screen(cfg, obs, np.zeros(2),
-                                EtController(2, a_max=0.54))
+        action, report = screen(cfg, [4.0, 4.8], np.zeros(2),
+                                EtController(2, a_max=0.54).dose(0.15, 0.0),
+                                et_next=0.4)
         assert report.triggered
         assert action[0] == 0.54
         m = TREE1_MODEL
