@@ -269,8 +269,9 @@ class IrrigationEnv:
     default_rng(seed) in this order, its start record, its initial soil
     water and its whole (episode_length, n_regions) process-noise block.
     Episodes given the same seed therefore share start, soil water and
-    noise, and differ only through their actions.  initial_v and
-    process_noise are the last reset's draws, read-only.
+    noise, and differ only through their actions.  starts, initial_v and
+    process_noise are the last reset's draws, and weather_obs the weather
+    records' observation columns, all read-only.
     """
 
     def __init__(self, config: EnvConfig, weather: WeatherTable):
@@ -292,12 +293,24 @@ class IrrigationEnv:
         self.config = config
         # the observation row's weather and calendar columns for every record
         self._weather_obs = weather_columns(weather)
+        self._weather_obs.flags.writeable = False
         self._et = self._weather_obs[:, OBS_ET]
         self._precip = self._weather_obs[:, OBS_PRECIP]
         self._starts = self._initial_v = self._noise = None
         self.v: np.ndarray | None = None    # (E, n_regions) soil water
         self.a: np.ndarray | None = None    # (E, n_regions) depths last applied
         self._day = 0
+
+    @property
+    def weather_obs(self) -> np.ndarray:
+        """The OBS_EXTRA columns of every weather record's observation rows
+        (weather_columns of the env's weather), read-only."""
+        return self._weather_obs
+
+    @property
+    def starts(self) -> np.ndarray | None:
+        """The (E,) start records the last reset drew, read-only."""
+        return self._starts
 
     @property
     def initial_v(self) -> np.ndarray | None:
@@ -328,6 +341,7 @@ class IrrigationEnv:
             v[e] = rng.uniform(lv.v_mad, lv.v_fc, size=n)
             if noise_std > 0:
                 noise[:, e] = rng.normal(0.0, noise_std, size=(L, n))
+        starts.flags.writeable = False
         v.flags.writeable = noise.flags.writeable = False
         self._starts, self._initial_v, self._noise = starts, v, noise
         self.v = v.copy()

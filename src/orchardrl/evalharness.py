@@ -48,7 +48,6 @@ from .env import (
     OBS_PREDICTED_ET_NEXT,
     IrrigationEnv,
     water_balance,
-    weather_columns,
 )
 from .hydrology import SoilLevels
 from .runconfig import (
@@ -129,16 +128,6 @@ def water_savings(candidate: ControllerResult, baseline: ControllerResult) -> fl
     return 100.0 * (baseline.total_water - candidate.total_water) / baseline.total_water
 
 
-def _rows(indices) -> slice | np.ndarray:
-    """Row indices as a slice when they are consecutive, so that indexing
-    with them takes a view instead of a copy; as an index array otherwise."""
-    indices = np.asarray(indices, dtype=int)
-    if indices.size and np.array_equal(
-            indices, np.arange(indices[0], indices[0] + indices.size)):
-        return slice(int(indices[0]), int(indices[0]) + indices.size)
-    return indices
-
-
 def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResult:
     """Paired season comparison: every controller runs its own row of one
     (E, n) soil-water block, all in lockstep.
@@ -162,8 +151,8 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     env.reset([run.seed])
     noise = env.process_noise[:, 0]
 
-    # the season's weather-only inputs, read once
-    columns = weather_columns(season)
+    # the season's weather-only inputs, read once from the episode's start
+    columns = env.weather_obs[env.starts[0]:]
     et, precip = columns[:, OBS_ET].tolist(), columns[:, OBS_PRECIP].tolist()
     et_next = columns[:, OBS_PREDICTED_ET_NEXT].tolist()
     precip_next = columns[:, OBS_FORECAST_PRECIP_NEXT].tolist()
@@ -188,22 +177,21 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     stacked: dict[tuple, list[int]] = {}
     for e in leads.values():
         stacked.setdefault(inner[e].policy.net.sizes, []).append(e)
-    baselines = [(e, fallback if c.a_max == run.env.a_max else doses(c))
-                 for e, c in enumerate(inner) if isinstance(c, EtController)]
+    baselines = [(e, doses(c)) for e, c in enumerate(inner)
+                 if isinstance(c, EtController)]
     others = [e for e, c in enumerate(inner)
               if not isinstance(c, (RlController, EtController))]
     # the controllers that read observation rows: obs row i is controller
     # readers[i]'s
     readers = sorted([e for rows in stacked.values() for e in rows] + others)
-    stacks = [(_rows(rows), _rows([readers.index(e) for e in rows]),
+    stacks = [(np.array(rows), np.array([readers.index(e) for e in rows]),
                PolicyStack([inner[e].policy for e in rows]))
               for rows in stacked.values()]
     alone = [(readers.index(e), e, inner[e].decide) for e in others]
     obs = np.empty((len(readers), n + OBS_EXTRA))
-    readers = _rows(readers)
+    readers = np.array(readers, dtype=int)
     shield = build_shield_config(run) if screened.size else None
     enabled = np.array([ctls[e].enabled for e in screened], dtype=bool)
-    screened = _rows(screened)
 
     v = np.repeat(env.initial_v, E, axis=0)
     actions = np.zeros((E, days, n))

@@ -20,6 +20,7 @@ from orchardrl.env import (
     reward,
     soil_water,
     water_balance,
+    weather_columns,
 )
 from orchardrl.hydrology import SoilLevels, derive_levels
 from orchardrl.hydrology import testbed_profile as orchard_profile
@@ -588,13 +589,18 @@ class TestVecIrrigationEnv:
                 assert soil[t + 1][e].tobytes() == v.tobytes()
                 assert np.array_equal(obs[t + 1][e], obs_row(v, w))
         assert len(set(starts)) == len(seeds)
-        for draws in (vec.initial_v, vec.process_noise):
+        assert vec.starts.tolist() == starts
+        assert vec.weather_obs.tobytes() == weather_columns(weather).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            vec.starts[0] = 1
+        for draws in (vec.initial_v, vec.process_noise, vec.weather_obs):
             with pytest.raises(ValueError, match="read-only"):
                 draws[0, 0] = 1.0
 
     def test_noise_free_reset_draws_zero_noise(self):
         cfg = default_env_config(process_noise_std=0.0)
         env = IrrigationEnv(cfg, flat_season(cfg.episode_length + 1))
+        assert env.starts is None
         assert env.initial_v is None and env.process_noise is None
         env.reset([1, 2, 1])
         assert env.process_noise.shape == (cfg.episode_length, 3, 2)
