@@ -13,7 +13,7 @@ like.
 import argparse
 import copy
 
-from orchardrl.cli import load_run, obtain_policy
+from orchardrl.cli import load_run, load_snapshot, obtain_policy
 from orchardrl.evalharness import build_controller, qos, run_roster
 from orchardrl.runconfig import build_levels, measurement_run
 
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
 
     run = load_run(args)
     levels = build_levels(run)
-    policy = obtain_policy(run, args.policy, "rl")
+    policy = obtain_policy(run, load_snapshot(run, args.policy), "rl")
 
     season = measurement_run(run)
     adversary = rewire_to_zero(policy)

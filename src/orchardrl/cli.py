@@ -35,9 +35,16 @@ from .runconfig import (
 from .weather import synthesize_season, write_weather_csv
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run-config JSON file (defaults used if omitted)")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=_seed, help="override the config seed")
     parser.add_argument("--out", help="output directory (overrides config out_dir)")
     parser.add_argument("--days", type=int, help="override season length in days")
 
@@ -58,25 +65,31 @@ def load_run(args) -> RunConfig:
     return dataclasses.replace(run, **updates) if updates else run
 
 
-def obtain_policy(run: RunConfig, path: str | None, label: str):
-    """The snapshot at path, checked against the run's shape and a_max, or
-    a policy trained now on the run's reward."""
-    if path:
-        policy = load_policy(path)
-        have = (policy.n_regions, policy.obs_dim)
-        want = (run.n_regions, build_env_config(run).obs_dim)
-        if have != want:
-            raise ValueError(
-                f"{path}: snapshot has {have[0]} regions and {have[1]} "
-                f"inputs; the run has {want[0]} regions and {want[1]} inputs")
-        if policy.a_max > run.env.a_max:
-            raise ValueError(
-                f"{path}: snapshot a_max {policy.a_max} exceeds the run's "
-                f"env.a_max {run.env.a_max}")
-        return policy
-    print(f"[{label}] no policy snapshot given; training one "
-          f"(reward={run.reward.kind}, seed={run.seed})", flush=True)
-    policy, _ = evalharness.train_policy_for_run(run)
+def load_snapshot(run: RunConfig, path: str | None):
+    """The snapshot at path, checked against the run's shape and a_max;
+    None when no path is given."""
+    if not path:
+        return None
+    policy = load_policy(path)
+    have = (policy.n_regions, policy.obs_dim)
+    want = (run.n_regions, build_env_config(run).obs_dim)
+    if have != want:
+        raise ValueError(
+            f"{path}: snapshot has {have[0]} regions and {have[1]} "
+            f"inputs; the run has {want[0]} regions and {want[1]} inputs")
+    if policy.a_max > run.env.a_max:
+        raise ValueError(
+            f"{path}: snapshot a_max {policy.a_max} exceeds the run's "
+            f"env.a_max {run.env.a_max}")
+    return policy
+
+
+def obtain_policy(run: RunConfig, policy, label: str):
+    """policy, or when it is None one trained now on the run's reward."""
+    if policy is None:
+        print(f"[{label}] no policy snapshot given; training one "
+              f"(reward={run.reward.kind}, seed={run.seed})", flush=True)
+        policy, _ = evalharness.train_policy_for_run(run)
     return policy
 
 
@@ -143,8 +156,8 @@ def cmd_evaluate(args) -> int:
     policy = None
     if args.controller in evalharness.POLICY_NAMES:
         kind = "mad-only" if args.controller == "rl-mad" else run.reward.kind
-        policy = obtain_policy(with_reward_kind(run, kind), args.policy,
-                               args.controller)
+        policy = obtain_policy(with_reward_kind(run, kind),
+                               load_snapshot(run, args.policy), args.controller)
     controller = evalharness.build_controller(run, args.controller, policy=policy)
     result = evalharness.run_roster(run, {args.controller: controller})
     evalharness.write_results(run.out_dir, result, levels)
@@ -156,8 +169,11 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     run = load_run(args)
     levels = evalharness.build_levels(run)
-    policy = obtain_policy(run, args.policy, "rl")
-    policy_mad = obtain_policy(with_reward_kind(run, "mad-only"), args.policy_mad,
+    # every given snapshot is checked before any policy trains
+    policy, policy_mad = (load_snapshot(run, path)
+                          for path in (args.policy, args.policy_mad))
+    policy = obtain_policy(run, policy, "rl")
+    policy_mad = obtain_policy(with_reward_kind(run, "mad-only"), policy_mad,
                                "rl-mad")
     season = measurement_run(run) if args.measurement else run
     controllers = {
@@ -197,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int,
                    help=f"number of daily records (default {SYNTH_WEATHER_DAYS}: "
                         "enough for a default-length season)")
-    p.add_argument("--seed", type=int, help="generator seed (default 0)")
+    p.add_argument("--seed", type=_seed, help="generator seed (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_synth_weather)
 

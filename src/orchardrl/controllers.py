@@ -5,16 +5,12 @@ Every controller reads one row of the environment's observation layout
 columns, the sensor baseline the soil-water columns and the RL controller
 the whole row.  All controllers are pure functions of that row (plus their
 frozen config or policy), so replaying a logged season reproduces every
-decision.  decide(obs) returns the per-region depths.  A season roster asks
-the ET baseline for one dose per season day (dose, which its decide
-applies to every region) and the shield's fallback doses from the same
-series, since both read only the weather.  It decides its RL controllers'
-policies together, in one stacked pass through the network forward
-RlController.decide runs, with the same bits, and screens shielded
-proposals on soil rows (safety.screen_rows).  Each controller class carries
-a fixed source tag (agent, et_baseline, sensor_baseline), and a shielded
-controller's days the shield took over read shield_fallback, so season
-logs can attribute every drop of water.
+decision.  decide(obs) returns the per-region depths; the ET baseline's
+depth also follows from one day's weather alone (dose, which its decide
+applies to every region).  Each controller class carries a fixed source tag
+(agent, et_baseline, sensor_baseline), and a shielded controller's days the
+shield took over read shield_fallback, so season logs can attribute every
+drop of water.
 """
 
 from __future__ import annotations
@@ -145,12 +141,11 @@ class ConstantController:
 class ShieldedController:
     """A controller whose every proposal the run's shield screens.
 
-    It has no decide of its own: the season runner asks inner for the day's
-    proposal and screens every shielded controller's soil row in one
-    safety.screen_rows call, with the run's shield and the ET baseline's
-    dose of the day as fallback.  With enabled False the proposal always
-    executes and only the shield's counterfactual deficit is recorded.  source is inner's tag; the
-    days the shield took over read shield_fallback instead.
+    It has no decide of its own: the season runner proposes with inner and
+    screens the proposal with the run's shield.  With enabled False the
+    proposal always executes and only the shield's counterfactual deficit is
+    recorded.  source is inner's tag; the days the shield took over read
+    shield_fallback instead.
     """
 
     def __init__(self, inner, enabled: bool = True):

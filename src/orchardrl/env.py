@@ -7,11 +7,11 @@ channels, and the month one-hot.  The policy and the decide(obs) baselines
 read those rows.  Actions are per-region irrigation depths in [0, a_max]
 inches.  water_balance advances soil water one day: each region through its
 own linear water-balance model with optional Gaussian process noise.  It is
-the one plant step, shared by IrrigationEnv.step and the season roster,
-which advances its (E, n) soil block through it directly.  Stepping returns
-observations only; reward() scores a step from the next-day soil water and
-the applied depths, penalizing over-irrigation, water use, and
-stress-threshold violations, and only the trainer calls it.
+the plant step IrrigationEnv.step runs, public so that any (E, n) soil block
+advances the same way.  Stepping returns observations only; reward() scores
+a step from the next-day soil water and the applied depths, penalizing
+over-irrigation, water use, and stress-threshold violations, and only the
+trainer calls it.
 
 EnvConfig holds the soil levels, one dynamics model per region, the episode
 length, the reward weights (RewardParams) and the plant settings
@@ -269,9 +269,11 @@ class IrrigationEnv:
     default_rng(seed) in this order, its start record, its initial soil
     water and its whole (episode_length, n_regions) process-noise block.
     Episodes given the same seed therefore share start, soil water and
-    noise, and differ only through their actions.  starts, initial_v and
-    process_noise are the last reset's draws, and weather_obs the weather
-    records' observation columns, all read-only.
+    noise, and differ only through their actions.  Plain attributes hold
+    read-only arrays: weather_obs (weather_columns of the weather) and the
+    last reset's draws, None before any reset: starts (E,), initial_v
+    (E, n_regions) and process_noise (episode_length, E, n_regions; zeros
+    for a noise-free plant).
     """
 
     def __init__(self, config: EnvConfig, weather: WeatherTable):
@@ -291,37 +293,12 @@ class IrrigationEnv:
                 f"no {L + 1} consecutive daily weather records (episode_length "
                 f"+ 1) in a record of {len(weather)}")
         self.config = config
-        # the observation row's weather and calendar columns for every record
-        self._weather_obs = weather_columns(weather)
-        self._weather_obs.flags.writeable = False
-        self._et = self._weather_obs[:, OBS_ET]
-        self._precip = self._weather_obs[:, OBS_PRECIP]
-        self._starts = self._initial_v = self._noise = None
+        self.weather_obs = weather_columns(weather)
+        self.weather_obs.flags.writeable = False
+        self.starts = self.initial_v = self.process_noise = None
         self.v: np.ndarray | None = None    # (E, n_regions) soil water
         self.a: np.ndarray | None = None    # (E, n_regions) depths last applied
         self._day = 0
-
-    @property
-    def weather_obs(self) -> np.ndarray:
-        """The OBS_EXTRA columns of every weather record's observation rows
-        (weather_columns of the env's weather), read-only."""
-        return self._weather_obs
-
-    @property
-    def starts(self) -> np.ndarray | None:
-        """The (E,) start records the last reset drew, read-only."""
-        return self._starts
-
-    @property
-    def initial_v(self) -> np.ndarray | None:
-        """The (E, n_regions) soil water the last reset drew, read-only."""
-        return self._initial_v
-
-    @property
-    def process_noise(self) -> np.ndarray | None:
-        """The (episode_length, E, n_regions) process noise the last reset
-        drew (zeros for a noise-free plant), read-only."""
-        return self._noise
 
     def reset(self, seeds) -> np.ndarray:
         """Start one episode per seed; returns the (E, obs_dim) observations
@@ -343,7 +320,7 @@ class IrrigationEnv:
                 noise[:, e] = rng.normal(0.0, noise_std, size=(L, n))
         starts.flags.writeable = False
         v.flags.writeable = noise.flags.writeable = False
-        self._starts, self._initial_v, self._noise = starts, v, noise
+        self.starts, self.initial_v, self.process_noise = starts, v, noise
         self.v = v.copy()
         self.a = None
         self._day = 0
@@ -360,14 +337,14 @@ class IrrigationEnv:
             raise RuntimeError("reset() must be called before step()")
         if self._day >= self.config.episode_length:
             raise RuntimeError("episodes exhausted; call reset()")
-        nxt = self._starts + self._day + 1
+        actual = self.weather_obs[self.starts + self._day + 1]
         self.v, self.a = water_balance(self.config, self.v, actions,
-                                       self._precip[nxt, None],
-                                       self._et[nxt, None],
-                                       self._noise[self._day])
+                                       actual[:, OBS_PRECIP, None],
+                                       actual[:, OBS_ET, None],
+                                       self.process_noise[self._day])
         self._day += 1
         return self._observations()
 
     def _observations(self) -> np.ndarray:
         return np.concatenate(
-            (self.v, self._weather_obs[self._starts + self._day]), axis=1)
+            (self.v, self.weather_obs[self.starts + self._day]), axis=1)

@@ -4,20 +4,21 @@ A roster runs one paired season: one episode's weather, start, initial soil
 water and process noise (one IrrigationEnv reset with the run's seed),
 shared by every controller, so water and stress metrics differ only through
 the decisions.  The season's weather-only inputs are read once: the
-observation rows' weather columns, the ET baseline's daily dose (also the
-shield's fallback), the forecast the shield screens against, and the next
-day's actual precipitation and ET that drive the plant.  Each day runs on
-the (E, n) block of soil water, one row per controller.  Observation rows
-are built only for the controllers that read them: the RL controllers'
-distinct policies decide in one stacked pass per architecture (agent.policy's
-PolicyStack, through the Mlp.forward that training and a lone mean_action
-run, bit for bit that mean_action), the other decide(obs) baselines on
-their own rows, and a controller sharing an earlier one's policy copies its
-proposal while their soil rows are bitwise equal.  One shield call screens
-the soil rows of every shielded controller, and env.water_balance, the step
-IrrigationEnv.step runs, advances the whole block.  Results persist as a
-daily CSV, a summary CSV, and a JSON manifest carrying the config
-fingerprint.
+observation rows' weather columns, the forecast the shield screens against,
+the next day's actual precipitation and ET that drive the plant, and each
+ET baseline's daily doses (EtController.dose; the shield's fallback is that
+series at the run's a_max).  Each day fills one (E, n + OBS_EXTRA) block of
+observation rows from the (E, n) soil block, one row per controller, and
+every controller proposes one way: an ET baseline takes its dose of the
+day; the first RL controller of each policy decides in one stacked pass per
+architecture (agent.policy's PolicyStack, bit for bit its mean_action); a
+later controller of the same policy copies that proposal while their soil
+rows are bitwise equal and decides on its own row once they differ; every
+other controller decides on its own row.  One safety.screen_rows call
+screens the soil rows of every ShieldedController under the day's
+forecast, and env.water_balance, the step IrrigationEnv.step runs, advances
+the whole block.  Results persist as a daily CSV, a summary CSV, and a JSON
+manifest carrying the config fingerprint.
 """
 
 from __future__ import annotations
@@ -133,19 +134,12 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     (E, n) soil-water block, all in lockstep.
 
     The season weather has days + 1 records, so the episode starts on its
-    first day.  The controllers share the draws of one reset with the run's
-    seed, so they see identical initial soil water and noise, and a
-    controller's season does not depend on which others share the roster:
-    each of its entries is bit for bit what a plain per-day loop of
-    IrrigationEnv.step, its own decide and one-row screens gives.  Each day
-    the RL controllers' policies decide in stacked passes, the ET baseline
-    applies its dose of the day, and the run's shield screens the proposals
-    of every ShieldedController in one call, with that dose as fallback.
+    first day.  A controller's season does not depend on which others share
+    the roster: each of its entries is bit for bit what a plain per-day
+    loop of IrrigationEnv.step, its own decide and one-row screens gives.
     """
     season = build_season_weather(run)
-    names = list(controllers)
-    ctls = [controllers[name] for name in names]
-    E, n, days = len(names), run.n_regions, run.days
+    E, n, days = len(controllers), run.n_regions, run.days
     config = build_env_config(run)
     env = IrrigationEnv(config, season)
     env.reset([run.seed])
@@ -163,36 +157,31 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     # the shield's fallback is the ET baseline at the run's a_max
     fallback = doses(EtController(n, run.env.a_max))
 
-    screened = np.flatnonzero([isinstance(c, ShieldedController) for c in ctls])
-    inner = [c.inner if isinstance(c, ShieldedController) else c for c in ctls]
-    # the first controller of each RL policy leads it; the leads' policies
-    # decide in one stacked pass per architecture
+    screened, enabled, series, twins, alone = [], [], [], [], []
     leads: dict[int, int] = {}
-    twins = []
-    for e, c in enumerate(inner):
-        if isinstance(c, RlController):
+    stacked: dict[tuple, list] = {}
+    for e, c in enumerate(controllers.values()):
+        if isinstance(c, ShieldedController):
+            screened.append(e)
+            enabled.append(c.enabled)
+            c = c.inner
+        if isinstance(c, EtController):
+            series.append((e, doses(c)))
+        elif isinstance(c, RlController):
             lead = leads.setdefault(id(c.policy), e)
-            if lead != e:
-                twins.append((e, lead))
-    stacked: dict[tuple, list[int]] = {}
-    for e in leads.values():
-        stacked.setdefault(inner[e].policy.net.sizes, []).append(e)
-    baselines = [(e, doses(c)) for e, c in enumerate(inner)
-                 if isinstance(c, EtController)]
-    others = [e for e, c in enumerate(inner)
-              if not isinstance(c, (RlController, EtController))]
-    # the controllers that read observation rows: obs row i is controller
-    # readers[i]'s
-    readers = sorted([e for rows in stacked.values() for e in rows] + others)
-    stacks = [(np.array(rows), np.array([readers.index(e) for e in rows]),
-               PolicyStack([inner[e].policy for e in rows]))
-              for rows in stacked.values()]
-    alone = [(readers.index(e), e, inner[e].decide) for e in others]
-    obs = np.empty((len(readers), n + OBS_EXTRA))
-    readers = np.array(readers, dtype=int)
+            if lead == e:
+                stacked.setdefault(c.policy.net.sizes, []).append((e, c.policy))
+            else:
+                twins.append((e, lead, c.decide))
+        else:
+            alone.append((e, c.decide))
+    stacks = [(np.array([e for e, _ in group]),
+               PolicyStack([policy for _, policy in group]))
+              for group in stacked.values()]
+    screened = np.array(screened, dtype=int)
     shield = build_shield_config(run) if screened.size else None
-    enabled = np.array([ctls[e].enabled for e in screened], dtype=bool)
 
+    obs = np.empty((E, n + OBS_EXTRA))
     v = np.repeat(env.initial_v, E, axis=0)
     actions = np.zeros((E, days, n))
     soil = np.zeros((E, days, n))
@@ -201,22 +190,21 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
     proposals = np.empty((E, n))
 
     for day in range(days):
-        obs[:, :n] = v[readers]
+        obs[:, :n] = v
         obs[:, n:] = columns[day]
-        for e, series in baselines:
-            proposals[e] = series[day]
-        for i, e, decide in alone:
-            proposals[e] = decide(obs[i])
-        for rows, block, stack in stacks:
-            proposals[rows] = stack.mean_actions(obs[block])
+        for e, dose in series:
+            proposals[e] = dose[day]
+        for e, decide in alone:
+            proposals[e] = decide(obs[e])
+        for rows, stack in stacks:
+            proposals[rows] = stack.mean_actions(obs[rows])
         # a twin shares its lead's policy: on a bitwise equal soil row (the
         # weather columns are shared) it copies the lead's proposal, before
         # the shield replaces any of them
-        for e, lead in twins:
+        for e, lead, decide in twins:
             proposals[e] = (proposals[lead]
                             if v[e].tobytes() == v[lead].tobytes()
-                            else inner[e].decide(
-                                np.concatenate((v[e], columns[day]))))
+                            else decide(obs[e]))
         if shield is not None:
             (proposals[screened], deficits[screened, day],
              triggered[screened, day]) = screen_rows(
@@ -234,10 +222,10 @@ def run_roster(run: RunConfig, controllers: dict[str, object]) -> ExperimentResu
             season_days=days, initial_v=env.initial_v[0].copy(),
             dates=list(dates), daily_water=actions[e].sum(axis=1),
             actions=actions[e], soil=soil[e],
-            sources=[SOURCE_SHIELD if t else ctls[e].source
+            sources=[SOURCE_SHIELD if t else ctl.source
                      for t in triggered[e].tolist()],
             deficits=deficits[e], triggered=triggered[e])
-            for e, name in enumerate(names)})
+            for e, (name, ctl) in enumerate(controllers.items())})
 
 
 # -- controller construction -------------------------------------------------

@@ -106,6 +106,8 @@ class RunConfig:
     sensor: SensorControllerConfig = field(default_factory=SensorControllerConfig)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.days < 1 or self.n_regions < 1:
             raise ValueError("days and n_regions must be >= 1")
         if len(self.dynamics) != self.n_regions:

@@ -2,9 +2,9 @@
 
 Before an agent action executes, the shield predicts each region's next-day
 soil water under that action using its own learned water-balance model.  It
-reads no observation row: it takes the soil water, the next-day forecast
-(forecast precipitation and predicted ET) and the fallback's doses as
-arrays, so it does not depend on the observation layout.  If the aggregate
+reads no observation row: it takes the soil water, the day's next-day
+forecast (forecast precipitation and predicted ET) and the fallback's
+doses, so it does not depend on the observation layout.  If the aggregate
 predicted stress deficit is positive, the shield takes over for this cycle
 only; the agent resumes control next cycle.  On a takeover the fallback
 dose is the starting point, and every region the shield still predicts
@@ -19,9 +19,8 @@ sum_i max(0, v_mad - v_hat_i), so a well-watered region can never mask
 another region's predicted deficit.
 
 Every function here takes k soil rows with one proposal each and screens
-them at once, under one forecast shared by every row or one per row; the
-arithmetic is elementwise per row, so a row's result is bit for bit that of
-screening it alone.
+them at once under the day's forecast; the arithmetic is elementwise per
+row, so a row's result is bit for bit that of screening it alone.
 """
 
 from __future__ import annotations
@@ -74,35 +73,29 @@ class ShieldConfig:
 _MAX_ULP_STEPS = 8
 
 
-def _forecast(x) -> np.ndarray:
-    """A forecast channel as a column against (k, n) rows: (1,) for one
-    value shared by every row, (k, 1) for one per row."""
-    return np.asarray(x, dtype=float)[..., None]
-
-
 def predicted_deficit(config: ShieldConfig, v: np.ndarray, action: np.ndarray,
                       precip_next, et_next) -> tuple[np.ndarray, np.ndarray]:
     """Next-day per-region predictions under actions, and the aggregate
     stress deficit those predictions imply: (k, n) and (k,) for k soil rows
     with one action each, (n,) and a scalar for one row.  precip_next and
-    et_next are the forecast, one value for every row or one per row; each
-    prediction is predict_next's, bit for bit."""
+    et_next are the day's forecast; each prediction is predict_next's, bit
+    for bit."""
     a = np.asarray(action, dtype=float)
     if a.shape[-1] != len(config.model):
         raise ValueError(f"action has {a.shape[-1]} regions; the shield has "
                          f"{len(config.model)} models")
-    v_hat = predict_next_array(config.coef, v, a, _forecast(precip_next),
-                               _forecast(et_next), cap=config.cap)
+    v_hat = predict_next_array(config.coef, v, a, precip_next, et_next,
+                               cap=config.cap)
     return v_hat, np.maximum(0.0, config.v_mad - v_hat).sum(axis=-1)
 
 
 def _least_safe_action(config: ShieldConfig, v: np.ndarray, base: np.ndarray,
-                       precip_next: np.ndarray, et_next: np.ndarray,
+                       precip_next: float, et_next: float,
                        selected: np.ndarray) -> np.ndarray:
     """Raise each region of the rows the (k,) mask selected picks that the
     shield predicts below v_mad under base to the least dose it predicts
     reaches v_mad, capped at config.a_max; every other entry keeps base.  v
-    is (k, n), and base and the forecast columns broadcast against it.
+    is (k, n), base broadcasts against it, and the forecast is the day's.
 
     Solving the affine model gives a*_i = (v_mad - c1 v_i - c2 p - c3 e - b)
     / c2, and a region is raised when a*_i exceeds its base dose.  Rounding
@@ -131,32 +124,30 @@ def _least_safe_action(config: ShieldConfig, v: np.ndarray, base: np.ndarray,
 
 
 def screen_rows(config: ShieldConfig, v: np.ndarray, proposed: np.ndarray,
-                precip_next, et_next, fallback,
+                precip_next: float, et_next: float, fallback,
                 enabled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Screen k proposed actions, one per row of the (k, n_regions) soil
     water v; on a trigger, execute a certified action instead.
 
-    proposed is (k, n_regions).  precip_next and et_next are the next-day
-    forecast: one value shared by every row, or (k,) with one per row.
-    fallback holds the fallback controller's doses: one dose for every row
-    and region, an (n_regions,) row of them for every row, or a
-    (k, n_regions) block with one row per screened row.  enabled is one
-    bool or a (k,) mask saying which rows the shield may override.  Returns
-    the (k, n_regions) actions to execute, the (k,) predicted deficits of
-    the proposals and the (k,) trigger mask.  An enabled row triggers when
-    its deficit is positive; it then gets, region by region, the larger of
-    the fallback dose and the least dose the shield predicts safe (capped
-    at a_max).  A disabled row's proposal always passes through, but its
-    deficit is still returned, so ablation runs can count would-have-
-    triggered days.
+    proposed is (k, n_regions).  precip_next and et_next are the day's
+    next-day forecast, shared by every row.  fallback holds the fallback
+    controller's doses: one dose for every row and region, an (n_regions,)
+    row of them for every row, or a (k, n_regions) block with one row per
+    screened row.  enabled is one bool or a (k,) mask saying which rows the
+    shield may override.  Returns the (k, n_regions) actions to execute, the
+    (k,) predicted deficits of the proposals and the (k,) trigger mask.  An
+    enabled row triggers when its deficit is positive; it then gets, region
+    by region, the larger of the fallback dose and the least dose the shield
+    predicts safe (capped at a_max).  A disabled row's proposal always
+    passes through, but its deficit is still returned, so ablation runs can
+    count would-have-triggered days.
     """
     actions = np.asarray(proposed, dtype=float)
     _, deficits = predicted_deficit(config, v, actions, precip_next, et_next)
     triggered = np.asarray(enabled) & (deficits > 0.0)
     if np.count_nonzero(triggered):
         safe = _least_safe_action(config, v, np.asarray(fallback, dtype=float),
-                                  _forecast(precip_next), _forecast(et_next),
-                                  triggered)
+                                  precip_next, et_next, triggered)
         actions = np.where(triggered[:, None], safe, actions)
     else:
         actions = actions.copy()

@@ -73,6 +73,13 @@ class TestUsageErrors:
         res = run_cli("evaluate", "--controller", "sprinkler")
         assert res.returncode == 2
 
+    def test_negative_seed_rejected_before_training(self, tmp_path):
+        res = run_cli("compare", "--seed", "-1", "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" \
+            in res.stderr
+        assert "training" not in res.stdout
+
 
 class TestSynthWeather:
     def test_writes_loadable_season(self, workdir):
@@ -282,6 +289,17 @@ class TestCompare:
                        if line.startswith("et "))
         assert " 0.00 " in et_line   # the baseline saves nothing on itself
         assert "season 8 days, seed 0, noisy setting" in res.stdout
+
+    def test_snapshots_checked_before_training(self, workdir, tiny_config):
+        # --policy-mad names no file; compare fails on it before it trains
+        # the rl policy that --policy leaves out
+        missing = str(workdir / "missing.npz")
+        res = run_cli("compare", "--config", tiny_config,
+                      "--out", str(workdir / "compare_missing"),
+                      "--policy-mad", missing)
+        assert res.returncode == 1
+        assert "missing.npz" in res.stderr
+        assert "training" not in res.stdout
 
     def test_measurement_setting(self, workdir, trained):
         """--measurement evaluates the season of the same run with exact

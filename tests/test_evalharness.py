@@ -357,8 +357,8 @@ class TestReferenceSeason:
         assert roster["rl-mad"].shield_trigger_days > 0
 
     def test_interleaved_roster_order(self):
-        # shielded, stacked and observation-reading rows that are not
-        # consecutive are gathered by index instead of sliced
+        # shielded, stacked and own-row controllers that are not
+        # consecutive are gathered by index
         run = default_run_config(days=60, seed=7)
         roster = self.full_roster(run, mad_hidden=(16, 16))
         self.assert_matches_reference(run, {
@@ -380,6 +380,37 @@ class TestReferenceSeason:
         assert 0 < first < run.days - 1 and rl.triggered[first]
         assert np.array_equal(rl.soil[:first], twin.soil[:first])
         assert not np.array_equal(rl.soil[first:], twin.soil[first:])
+
+    def test_shielded_twin_listed_after_its_lead(self):
+        # rl-noshield comes first, so it leads the policy and rl is the
+        # twin: once rl's shield takes over, rl decides on its own row
+        run = default_run_config(days=60, seed=1)
+        full = self.full_roster(run)
+        roster = self.assert_matches_reference(run, {
+            name: full[name]
+            for name in ("et", "sensor", "rl-noshield", "rl", "rl-mad")})
+        rl, lead = roster["rl"], roster["rl-noshield"]
+        first = int(np.argmax(rl.triggered))
+        assert 0 < first < run.days - 1 and rl.triggered[first]
+        assert np.array_equal(rl.soil[:first], lead.soil[:first])
+        assert not np.array_equal(rl.soil[first + 1:], lead.soil[first + 1:])
+        assert not np.array_equal(rl.actions[first + 1:],
+                                  lead.actions[first + 1:])
+
+    def test_et_below_the_runs_a_max_beside_shielded_sensor(self):
+        # an ET baseline capped below the run's a_max doses its own series,
+        # not the shield's fallback, shielded or not; a screened sensor
+        # baseline decides on its own row
+        run = default_run_config(days=60, seed=2)
+        low = EtController(run.n_regions, a_max=0.05)
+        roster = self.assert_matches_reference(run, {
+            "et": build_controller(run, "et"),
+            "et-low": low,
+            "sensor": ShieldedController(build_controller(run, "sensor")),
+            "et-low-on": ShieldedController(low)})
+        assert roster["et-low"].actions.max() == 0.05
+        assert roster["et"].actions.max() > 0.05
+        assert roster["et-low-on"].shield_trigger_days > 0
 
     def test_shield_ablation_roster(self):
         rewire_to_zero = runpy.run_path(str(SCRIPTS / "shield_ablation.py"),

@@ -39,6 +39,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             default_run_config(n_regions=0)
 
+    def test_seed_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+            from_json_dict({"seed": -5})
+        assert default_run_config(seed=0).seed == 0
+
     def test_one_dynamics_model_per_region(self):
         with pytest.raises(ValueError, match="per region"):
             default_run_config(n_regions=3)
